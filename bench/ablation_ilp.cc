@@ -1,7 +1,9 @@
 // Ablation of the ILP solver's beyond-paper improvements:
 //
-//  * presolve: omit variables fixed at zero and unsatisfiable queries
-//    (objective-preserving) vs the paper's literal Sec IV.B model;
+//  * presolve: omit variables fixed at zero, unsatisfiable queries and
+//    queries longer than m, and give each distinct query one y weighted
+//    by its multiplicity (objective-preserving) vs the paper's literal
+//    Sec IV.B model;
 //  * greedy incumbent seeding for branch-and-bound.
 //
 // Presolve moves the ILP scaling wall far beyond the paper's ~1000

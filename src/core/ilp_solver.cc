@@ -1,6 +1,7 @@
 #include "core/ilp_solver.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/string_util.h"
 #include "core/greedy.h"
@@ -32,15 +33,36 @@ SocIlpModel BuildConjunctiveSocModel(const QueryLog& log,
       "budget", lp::ConstraintSense::kLessEqual, m_eff);
   for (int j = 0; j < out.num_x; ++j) out.model.AddTerm(budget, j, 1.0);
 
-  // y variables and linking rows. With presolve only satisfiable queries
-  // (q ⊆ t) get a y; the rest have y forced to zero anyway.
-  for (int i = 0; i < log.size(); ++i) {
-    const DynamicBitset& q = log.query(i);
-    if (presolve && !q.IsSubsetOf(tuple)) continue;
-    const int y = out.model.AddBinaryVariable(StrFormat("y_%d", i), 1.0);
-    out.y_queries.push_back(i);
-    ++out.num_y;
-    q.ForEachSetBit([&](int attr) {
+  // y variables and linking rows. The literal model gives every query a y
+  // of weight 1; with presolve each distinct query with q ⊆ t and
+  // |q| <= m_eff gets one y, weighted by its multiplicity.
+  std::vector<double> y_weights;
+  if (presolve) {
+    std::unordered_map<DynamicBitset, int, DynamicBitsetHash> index;
+    for (int i = 0; i < log.size(); ++i) {
+      const DynamicBitset& q = log.query(i);
+      if (static_cast<int>(q.Count()) > m_eff || !q.IsSubsetOf(tuple)) {
+        continue;
+      }
+      const auto [it, inserted] =
+          index.emplace(q, static_cast<int>(out.y_queries.size()));
+      if (inserted) {
+        out.y_queries.push_back(i);
+        y_weights.push_back(1.0);
+      } else {
+        y_weights[it->second] += 1.0;
+      }
+    }
+  } else {
+    for (int i = 0; i < log.size(); ++i) out.y_queries.push_back(i);
+    y_weights.assign(log.size(), 1.0);
+  }
+  out.num_y = static_cast<int>(out.y_queries.size());
+  for (int j = 0; j < out.num_y; ++j) {
+    const int i = out.y_queries[j];
+    const int y = out.model.AddBinaryVariable(StrFormat("y_%d", i),
+                                              y_weights[j]);
+    log.query(i).ForEachSetBit([&](int attr) {
       const int row = out.model.AddConstraint(
           StrFormat("link_%d_%d", i, attr), lp::ConstraintSense::kLessEqual,
           0.0);

@@ -12,9 +12,8 @@
 // optimum.
 //
 // BuildConjunctiveSocModel is exposed separately so tests and benches can
-// inspect the formulation; it omits variables that are fixed to zero
-// (attributes outside t) and queries that cannot be satisfied, which is an
-// objective-preserving presolve.
+// inspect the formulation. By default it presolves the model, which
+// preserves the optimum; see there.
 
 #ifndef SOC_CORE_ILP_SOLVER_H_
 #define SOC_CORE_ILP_SOLVER_H_
@@ -32,7 +31,8 @@ struct SocIlpModel {
   // Attribute id of each x variable; x variables occupy model variable
   // indices [0, num_x), followed by the y variables.
   std::vector<int> x_attributes;
-  // Original query index of each y variable (model index num_x + j).
+  // Original query index of each y variable (model index num_x + j); with
+  // presolve, the first occurrence of a query that repeats.
   std::vector<int> y_queries;
   int num_x = 0;
   int num_y = 0;
@@ -41,10 +41,18 @@ struct SocIlpModel {
 // The conjunctive formulation above for (log, t, m_eff).
 //
 // With `presolve` (an objective-preserving improvement over the paper's
-// formulation) variables fixed at zero and unsatisfiable queries are
-// omitted, which shrinks the model dramatically when t covers few
-// attributes. Without it the model is built exactly as written in
-// Sec IV.B: one x per attribute (bounded to 0 outside t), one y per query,
+// formulation) the model keeps only what can change the optimum:
+//  * x variables for the attributes of t (the others are fixed at zero);
+//  * y variables for satisfiable queries (q ⊆ t) that fit the budget
+//    (|q| <= m_eff): any other query has y = 0 at every integer point,
+//    and in the LP relaxation it would only loosen the bound;
+//  * one y per distinct such query, with objective weight equal to its
+//    multiplicity in the log. y_queries holds its first occurrence.
+// The weights stay integral, so branch-and-bound still sharpens its
+// cutoff on an integral objective. This shrinks the model dramatically
+// on real logs, which repeat queries and hold many longer than m.
+// Without it the model is built exactly as written in Sec IV.B: one x
+// per attribute (bounded to 0 outside t), one y of weight 1 per query,
 // one link row per (query, attribute) pair — this is the variant whose
 // scaling wall the paper reports in Fig 10.
 SocIlpModel BuildConjunctiveSocModel(const QueryLog& log,

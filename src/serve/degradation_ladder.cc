@@ -43,6 +43,12 @@ double DegradationLadder::smoothed_occupancy() const {
 std::string DegradationLadder::ApplyLevel(int level,
                                           const std::string& requested) {
   if (level <= 0) return requested;
+  // The greedies are the cheapest tier there is. Fallback runs exact
+  // BranchAndBound first, so sending them there would make them slower.
+  if (requested == "ConsumeAttr" || requested == "ConsumeAttrCumul" ||
+      requested == "ConsumeQueries") {
+    return requested;
+  }
   if (level == 1) {
     // Exact tiers are the ones that can hold a worker for seconds.
     if (requested == "BruteForce" || requested == "BranchAndBound" ||
@@ -51,7 +57,7 @@ std::string DegradationLadder::ApplyLevel(int level,
     }
     return requested;
   }
-  // Level >= 2: nothing but the greedy tier runs.
+  // Level >= 2: mining runs no more either.
   return "Fallback";
 }
 

@@ -12,7 +12,10 @@
 //   0  serve every request with its requested solver;
 //   1  exact tiers (BruteForce, BranchAndBound, ILP) downgrade to
 //      Fallback — mining and greedy tiers still run as requested;
-//   2  every request downgrades to Fallback's greedy tier.
+//   2  every request but a greedy one (ConsumeAttr, ConsumeAttrCumul,
+//      ConsumeQueries) downgrades to Fallback.
+// No level touches a greedy request: Fallback's first tier is exact
+// BranchAndBound, which costs far more than the greedy it would replace.
 //
 // Thread-safe; Observe is called concurrently from workers.
 

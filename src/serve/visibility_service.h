@@ -30,7 +30,7 @@
 // Overload resilience at pickup:
 //  * a DegradationLadder watches smoothed queue occupancy and, under
 //    sustained pressure, downgrades exact tiers (level 1) or everything
-//    (level 2) to Fallback;
+//    but the greedies (level 2) to Fallback;
 //  * per-solver CircuitBreakers (serve/circuit_breaker.h) trip a tier to
 //    Fallback after consecutive faults/deadline-degrades and probe
 //    recovery half-open;

@@ -1,12 +1,14 @@
 // ResultCache: the per-shard answer cache of the multi-tenant layer.
 //
-// Keyed by (tenant, canonical tuple bits, m, log-epoch): two requests
-// that agree on all four necessarily have the same optimal answer, so a
-// hit skips admission cost modeling, preprocessing and the solver
-// entirely. The epoch component makes PublishEpoch invalidation free —
-// no scan, no version check at read time: post-publish requests pin the
-// new snapshot, form keys with the new epoch, and old-epoch entries are
-// simply unreachable until the LRU ages them out.
+// Keyed by (tenant, requested solver, canonical tuple bits, m,
+// log-epoch): two requests that agree on all five get the same answer,
+// so a hit skips admission cost modeling, preprocessing and the solver
+// entirely. The solver is part of the key because the heuristics answer
+// below the optimum: without it an exact request could replay a greedy
+// request's answer. The epoch component makes PublishEpoch invalidation
+// free — no scan, no version check at read time: post-publish requests
+// pin the new snapshot, form keys with the new epoch, and old-epoch
+// entries are simply unreachable until the LRU ages them out.
 //
 // Only exact (OK, non-degraded) results are admitted; a degraded partial
 // answer is a function of its deadline, not of the key, and must never
@@ -51,17 +53,18 @@ inline constexpr char kResultCacheFlightWaits[] = "result_cache.flight_waits";
 
 struct ResultCacheKey {
   std::string tenant_id;
+  std::string solver;      // The solver the request asked for.
   std::string tuple_bits;  // Canonical 0/1 string, log-width.
   int m = 0;
   std::int64_t epoch = 0;
 
   friend bool operator<(const ResultCacheKey& a, const ResultCacheKey& b) {
-    return std::tie(a.tenant_id, a.epoch, a.m, a.tuple_bits) <
-           std::tie(b.tenant_id, b.epoch, b.m, b.tuple_bits);
+    return std::tie(a.tenant_id, a.epoch, a.m, a.solver, a.tuple_bits) <
+           std::tie(b.tenant_id, b.epoch, b.m, b.solver, b.tuple_bits);
   }
   friend bool operator==(const ResultCacheKey& a, const ResultCacheKey& b) {
     return a.tenant_id == b.tenant_id && a.epoch == b.epoch && a.m == b.m &&
-           a.tuple_bits == b.tuple_bits;
+           a.solver == b.solver && a.tuple_bits == b.tuple_bits;
   }
 };
 

@@ -299,6 +299,7 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
   // conversely a stale entry from a drained epoch is unreachable here.
   ResultCacheKey key;
   key.tenant_id = request.tenant_id;
+  key.solver = request.solver;
   key.tuple_bits = request.tuple.ToString();
   key.m = request.m;
   key.epoch = snapshot.epoch();
@@ -311,7 +312,7 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
     cached = result_cache_.Lookup(key, queued.deadline, &flight);
   }
   if (cached != nullptr) {
-    // Replay: exact answers are a function of the key alone.
+    // Replay: a solver's exact answers are a function of the key alone.
     response.solution = cached->solution;
     response.solver = cached->solver;
     response.cache_hit = true;

@@ -155,6 +155,21 @@ TEST(DegradationLadderTest, ApplyLevelDowngradesExactTiersThenEverything) {
   EXPECT_EQ(DegradationLadder::ApplyLevel(2, "Fallback"), "Fallback");
 }
 
+TEST(DegradationLadderTest, GreedyRequestsRunAsRequestedAtEveryLevel) {
+  // Fallback starts with exact BranchAndBound: downgrading a greedy to it
+  // would make the request slower.
+  for (const char* greedy :
+       {"ConsumeAttr", "ConsumeAttrCumul", "ConsumeQueries"}) {
+    for (int level = 0; level <= 3; ++level) {
+      EXPECT_EQ(DegradationLadder::ApplyLevel(level, greedy), greedy)
+          << "level " << level;
+    }
+  }
+  EXPECT_EQ(DegradationLadder::ApplyLevel(2, "BranchAndBound"), "Fallback");
+  EXPECT_EQ(DegradationLadder::ApplyLevel(2, "MaxFreqItemSets-dfs"),
+            "Fallback");
+}
+
 // ---------------------------------------------------------------- retry
 
 TEST(RetryTest, OnlyOverloadedIsRetryable) {

@@ -121,6 +121,40 @@ TEST(ShardedServiceTest, RepeatedRequestIsACacheHitWithTheSameAnswer) {
   EXPECT_EQ(metrics.counters.at("result_cache.misses"), 1);
 }
 
+TEST(ShardedServiceTest, CacheNeverReplaysAnotherSolversAnswer) {
+  // ConsumeQueries takes the one-attribute query first and then cannot
+  // afford {1, 2}: it satisfies 1 query where the optimum satisfies 3.
+  ShardedService service(SmallOptions());
+  ASSERT_TRUE(service
+                  .CreateTenant("acme",
+                                MakeLog(4, {{0}, {1, 2}, {1, 2}, {1, 2}}))
+                  .ok());
+
+  serve::SolveRequest greedy = MakeRequest("r1", "acme", "1110", 2);
+  greedy.solver = "ConsumeQueries";
+  auto first = service.Submit(greedy);
+  service.Drain();
+  serve::SolveRequest exact = MakeRequest("r2", "acme", "1110", 2);
+  exact.solver = "BranchAndBound";
+  auto second = service.Submit(exact);
+  service.Drain();
+
+  const serve::SolveResponse heuristic = first.get();
+  const serve::SolveResponse optimum = second.get();
+  ASSERT_TRUE(heuristic.status.ok()) << heuristic.status.ToString();
+  ASSERT_TRUE(optimum.status.ok()) << optimum.status.ToString();
+  EXPECT_EQ(heuristic.solution.satisfied_queries, 1);
+  EXPECT_FALSE(optimum.cache_hit);
+  EXPECT_EQ(optimum.solver, "BranchAndBound");
+  EXPECT_EQ(optimum.solution.satisfied_queries, 3);
+  EXPECT_EQ(optimum.solution.selected.ToString(), "0110");
+
+  const serve::MetricsSnapshot metrics = service.Metrics();
+  EXPECT_EQ(metrics.counters.at("result_cache.misses"), 2);
+  const auto hits = metrics.counters.find("result_cache.hits");
+  EXPECT_TRUE(hits == metrics.counters.end() || hits->second == 0);
+}
+
 TEST(ShardedServiceTest, PublishEpochIsVisibleToSubsequentRequests) {
   ShardedService service(SmallOptions());
   const QueryLog log_v1 = MakeLog(4, {{0}, {0}, {1}});
