@@ -69,9 +69,7 @@ inline constexpr LockRank kResultCacheFlightTable{25,
 inline constexpr LockRank kResultCacheLru{30, "tenant.result_cache.lru"};
 inline constexpr LockRank kResultCacheFlight{35, "tenant.result_cache.flight"};
 
-// ---- serve layer: single-service queueing and preprocessing ----
-inline constexpr LockRank kServeInflight{40, "serve.inflight"};
-inline constexpr LockRank kServeQueue{45, "serve.queue"};
+// ---- serve layer: preprocessing ----
 inline constexpr LockRank kMfiFlightTable{50, "serve.mfi.flights"};
 inline constexpr LockRank kMfiCache{55, "serve.mfi.cache"};
 inline constexpr LockRank kMfiFlight{60, "serve.mfi.flight"};

@@ -1,7 +1,7 @@
 // A fixed-size worker thread pool with a condition-variable task queue.
 //
 // Workers pop std::function<void()> tasks in FIFO order. The pool is the
-// execution substrate of the serving layer (serve/visibility_service.h):
+// execution substrate of the serving layer (tenant/shard.h):
 // admission control and queue bounds live in the *caller* — the pool
 // itself never rejects work before shutdown, so a caller that wants a
 // bounded queue checks queue_depth() first.

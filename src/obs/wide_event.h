@@ -42,7 +42,7 @@
 //
 // This header is in the obs layer (below serve), so the shed-reason
 // vocabulary is declared here as a canonical table rather than included
-// from serve/visibility_service.h; soc_lint's event-field-parity rule
+// from serve/request.h; soc_lint's event-field-parity rule
 // keeps the two lists identical in both directions.
 
 #ifndef SOC_OBS_WIDE_EVENT_H_
@@ -68,7 +68,7 @@ inline constexpr const char* kWideEventOutcomes[] = {
 };
 
 // Canonical shed_reason vocabulary. Must match the kShedReason*
-// constants in src/serve/visibility_service.h (lint rule
+// constants in src/serve/request.h (lint rule
 // event-field-parity checks both directions).
 inline constexpr const char* kWideEventShedReasons[] = {
     "queue_full",

@@ -29,24 +29,23 @@ constexpr double kBaseCostMs = 0.05;
 
 }  // namespace
 
-CostModel::CostModel(CostFeatures features, int num_workers,
-                     CostModelOptions options)
-    : features_(features),
-      num_workers_(std::max(1, num_workers)),
-      options_(options) {}
+CostModel::CostModel(int num_workers, CostModelOptions options)
+    : num_workers_(std::max(1, num_workers)), options_(options) {}
 
-double CostModel::PriorMs(const std::string& solver, int m) const {
+double CostModel::PriorMs(const CostFeatures& features,
+                          const std::string& solver, int m) {
   // Work scales with the (collapsed) query volume; the m term reflects
   // that a larger selection budget widens every tier's search.
   const double effective_queries =
-      std::max(1.0, features_.num_queries * features_.collapse_ratio);
+      std::max(1.0, features.num_queries * features.collapse_ratio);
   const double size_factor = effective_queries / 1000.0;
   const double m_factor = 1.0 + 0.1 * std::max(0, m);
   return kBaseCostMs * TierMultiplier(solver) * size_factor * m_factor;
 }
 
-double CostModel::PredictSolveMs(const std::string& solver, int m) const {
-  const double prior = PriorMs(solver, m);
+double CostModel::PredictSolveMs(const CostFeatures& features,
+                                 const std::string& solver, int m) const {
+  const double prior = PriorMs(features, solver, m);
   MutexLock lock(mutex_);
   const auto it = observed_.find(solver);
   if (it == observed_.end() || it->second.samples == 0) return prior;

@@ -43,7 +43,9 @@ struct CostModelOptions {
   std::int64_t warmup_samples = 8;
 };
 
-// Static per-instance features captured once at service construction.
+// Static per-instance features, computed once per TenantSnapshot
+// (tenant/snapshot.h) and passed with every prediction, so one model
+// serves every log its shard hosts.
 struct CostFeatures {
   int num_queries = 0;
   int num_attributes = 0;
@@ -52,12 +54,13 @@ struct CostFeatures {
 
 class CostModel {
  public:
-  CostModel(CostFeatures features, int num_workers,
-            CostModelOptions options = {});
+  explicit CostModel(int num_workers, CostModelOptions options = {});
 
-  // Predicted solve cost for one request on `solver`, in milliseconds.
-  // `m` scales the prior mildly (larger budgets mean more search).
-  double PredictSolveMs(const std::string& solver, int m) const
+  // Predicted solve cost for one request on `solver` against a log with
+  // `features`, in milliseconds. `m` scales the prior mildly (larger
+  // budgets mean more search).
+  double PredictSolveMs(const CostFeatures& features,
+                        const std::string& solver, int m) const
       SOC_EXCLUDES(mutex_);
 
   // Predicted time a new arrival spends waiting for a worker, derived
@@ -81,19 +84,15 @@ class CostModel {
   // half the current backlog to drain, floored at 1ms.
   double RetryAfterMs() const;
 
-  // The static instance features the model was built from; the wide-
-  // event log stamps these onto every request record.
-  const CostFeatures& features() const { return features_; }
-
  private:
   struct Ewma {
     double value_ms = 0;
     std::int64_t samples = 0;
   };
 
-  double PriorMs(const std::string& solver, int m) const;
+  static double PriorMs(const CostFeatures& features,
+                        const std::string& solver, int m);
 
-  const CostFeatures features_;
   const int num_workers_;
   const CostModelOptions options_;
 

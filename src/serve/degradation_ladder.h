@@ -8,7 +8,7 @@
 // below the low watermark, so brief bursts don't flap the service's
 // solver tier.
 //
-// Level semantics (applied by VisibilityService at pickup):
+// Level semantics (applied by TenantShard at pickup):
 //   0  serve every request with its requested solver;
 //   1  exact tiers (BruteForce, BranchAndBound, ILP) downgrade to
 //      Fallback — mining and greedy tiers still run as requested;

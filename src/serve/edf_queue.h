@@ -8,8 +8,8 @@
 // increasing sequence number, so EDF scheduling never starves or reorders
 // equal-urgency work.
 //
-// Not thread-safe: VisibilityService guards its instance with the same
-// mutex that tracks in-flight counts. Implemented as a binary heap over a
+// Not thread-safe: TenantShard (tenant/shard.h) guards its instance with
+// its queue mutex. Implemented as a binary heap over a
 // contiguous vector (std::push_heap / std::pop_heap) — no per-node
 // allocation, O(log n) push/pop.
 

@@ -1,6 +1,6 @@
 // Builds wide events (obs/wide_event.h) from serve-layer request and
-// response types, shared by the single-tenant VisibilityService and the
-// per-tenant TenantShard so both paths classify outcomes identically:
+// response types for the request pipeline (tenant/shard.h), with one
+// outcome classification for every path:
 //
 //   ok      — status.ok(): a solution was served (degraded or cached
 //             answers included);
@@ -18,7 +18,7 @@
 #include "common/status.h"
 #include "obs/wide_event.h"
 #include "serve/cost_model.h"
-#include "serve/visibility_service.h"
+#include "serve/request.h"
 
 namespace soc::serve {
 
@@ -42,8 +42,10 @@ inline bool CountsTowardSlo(const Status& status) {
                          status.code() != StatusCode::kNotFound);
 }
 
-// ts_ms is stamped by EventLog::Record; shard defaults to -1
-// (single-tenant) and is set by the sharded path.
+// ts_ms is stamped by EventLog::Record; shard defaults to -1 (unsharded)
+// and is set by the shard that resolved the request. `features` are the
+// pinned snapshot's (zero-sized for a request whose tenant never
+// resolved).
 inline obs::WideEvent BuildWideEvent(const SolveRequest& request,
                                      const SolveResponse& response,
                                      const CostFeatures& features,

@@ -1,4 +1,5 @@
-// Thread-safe preprocessing shared by all VisibilityService workers.
+// Thread-safe preprocessing shared by all workers serving one log (one
+// TenantSnapshot, tenant/snapshot.h).
 //
 // Two expensive per-log artifacts are amortized across requests, the
 // paper's "Preprocessing Opportunities" (Sec IV.C) turned into a serving
@@ -128,7 +129,7 @@ class SharedMfiIndex : public MfiItemsetSource {
       SOC_GUARDED_BY(flights_mutex_);
 };
 
-// The per-log preprocessing bundle a VisibilityService owns: one shared
+// The per-log preprocessing bundle a TenantSnapshot owns: one shared
 // MFI index per mining engine plus the lazily-built attribute bitmaps.
 class PreprocessingCache {
  public:

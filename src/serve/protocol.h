@@ -40,7 +40,7 @@
 #include "boolean/query_log.h"
 #include "common/json_writer.h"
 #include "common/status.h"
-#include "serve/visibility_service.h"
+#include "serve/request.h"
 
 namespace soc::serve {
 

@@ -1,522 +1,49 @@
 #include "serve/visibility_service.h"
 
-#include <algorithm>
-#include <unordered_set>
-#include <utility>
-#include <vector>
-
-#include "common/string_util.h"
-#include "core/mfi_solver.h"
-#include "core/solver_registry.h"
-#include "obs/context_tracer.h"
-#include "serve/event_builder.h"
+#include <memory>
 
 namespace soc::serve {
 
 namespace {
 
-// Metric names, kept in one place so tools and tests agree.
-constexpr char kSubmitted[] = "submitted";
-constexpr char kAccepted[] = "accepted";
-constexpr char kRejectedQueueFull[] = "rejected_queue_full";
-constexpr char kRejectedInvalid[] = "rejected_invalid";
-constexpr char kRejectedExpired[] = "rejected_expired";
-constexpr char kRejectedShutdown[] = "rejected_shutdown";
-constexpr char kShedPredicted[] = "shed_predicted";
-constexpr char kLateFallback[] = "late_fallback";
-constexpr char kFastPathZero[] = "fast_path_zero";
-constexpr char kCompleted[] = "completed";
-constexpr char kDegraded[] = "degraded";
-constexpr char kSolveErrors[] = "solve_errors";
-constexpr char kBreakerRerouted[] = "breaker_rerouted";
-constexpr char kLadderDowngraded[] = "ladder_downgraded";
-
-// The log's collapse ratio (distinct / total queries): the weighted-
-// instance compression statistic, fed to the cost model as a static
-// feature — heavily repeated logs solve faster than their raw |Q|
-// suggests.
-CostFeatures FeaturesFromLog(const QueryLog& log) {
-  CostFeatures features;
-  features.num_queries = log.size();
-  features.num_attributes = log.num_attributes();
-  if (!log.empty()) {
-    std::unordered_set<std::string> distinct;
-    distinct.reserve(log.size());
-    for (const DynamicBitset& query : log.queries()) {
-      distinct.insert(query.ToString());
-    }
-    features.collapse_ratio =
-        static_cast<double>(distinct.size()) / log.size();
-  }
-  return features;
+tenant::TenantShardOptions ShardOptions(const VisibilityServiceOptions& o) {
+  tenant::TenantShardOptions shard;
+  shard.num_workers = o.num_workers;
+  shard.max_queue = o.max_queue;
+  // No result cache: every single-tenant request runs its solver.
+  shard.result_cache_capacity = 0;
+  shard.default_deadline_ms = o.default_deadline_ms;
+  shard.reject_expired = o.reject_expired;
+  shard.predictive_shedding = o.predictive_shedding;
+  shard.cost_model = o.cost_model;
+  shard.breaker = o.breaker;
+  shard.ladder = o.ladder;
+  shard.watchdog = o.watchdog;
+  shard.trace_recorder = o.trace_recorder;
+  shard.event_log = o.event_log;
+  shard.slo_engine = o.slo_engine;
+  shard.worker_hook = o.worker_hook;
+  return shard;
 }
 
 }  // namespace
 
-struct VisibilityService::QueuedRequest {
-  SolveRequest request;
-  std::promise<SolveResponse> promise;
-  WallTimer submit_timer;  // Started at Submit.
-  Deadline deadline = Deadline::Infinite();
-  double effective_deadline_ms = 0;  // After the default applied; 0 = none.
-  double predicted_ms = 0;           // Cost-model charge, settled at finish.
-  // Recorder time at Submit, when tracing was live then; 0 otherwise.
-  // Anchors the queue_wait and request spans emitted at pickup/finish.
-  std::int64_t submit_ns = 0;
-};
-
 VisibilityService::VisibilityService(QueryLog log,
                                      VisibilityServiceOptions options)
-    : log_(std::move(log)),
-      options_(options),
-      cache_(log_, options.mfi_cache_capacity),
-      mfi_dfs_solver_([] {
-        MfiSocOptions dfs;
-        dfs.engine = MfiEngine::kExactDfs;
-        return dfs;
-      }()),
-      cost_model_(FeaturesFromLog(log_), options.num_workers,
-                  options.cost_model),
-      breakers_(RegisteredSolverNames(), options.breaker),
-      ladder_(options.ladder),
-      watchdog_(options.watchdog, &metrics_, options.trace_recorder),
-      pool_(options.num_workers) {
-  for (const std::string& name : RegisteredSolverNames()) {
-    auto solver = CreateSolverByName(name);
-    SOC_CHECK(solver.ok());
-    solvers_.emplace(name, std::move(solver).value());
-  }
-}
-
-VisibilityService::~VisibilityService() {
-  // ThreadPool's destructor drains the queue, which resolves every
-  // outstanding promise through Finish before members are torn down.
-  pool_.Shutdown();
-}
-
-std::size_t VisibilityService::QueueSize() const {
-  MutexLock lock(queue_mutex_);
-  return edf_queue_.size();
-}
-
-std::future<SolveResponse> VisibilityService::Submit(SolveRequest request) {
-  // Covers validation + admission on the submitting thread; the worker-side
-  // spans (queue_wait onward) anchor to submit_ns below.
-  obs::TraceSpan admission(options_.trace_recorder, "admission", "serve");
-  if (admission.active()) {
-    admission.AddArg(obs::TraceArg::Str("id", request.id));
-  }
-  metrics_.Increment(kSubmitted);
-  if (request.solver.empty()) request.solver = "Fallback";
-
-  auto queued = std::make_shared<QueuedRequest>();
-  std::future<SolveResponse> future = queued->promise.get_future();
-
-  const auto reject = [&](Status status, const char* shed_reason = nullptr,
-                          double retry_after_ms = 0) {
-    SolveResponse response;
-    response.id = request.id;
-    response.solver = request.solver;
-    response.status = std::move(status);
-    if (shed_reason != nullptr) response.shed_reason = shed_reason;
-    response.retry_after_ms = retry_after_ms;
-    RecordOutcome(request, response, request.deadline_ms, 0);
-    queued->promise.set_value(std::move(response));
-    return std::move(future);
-  };
-
-  // Validation tier: malformed requests never reach the queue.
-  if (static_cast<int>(request.tuple.size()) != log_.num_attributes()) {
-    metrics_.Increment(kRejectedInvalid);
-    return reject(InvalidArgumentError(
-        "tuple width " + std::to_string(request.tuple.size()) +
-        " != log attribute count " + std::to_string(log_.num_attributes())));
-  }
-  if (request.m < 0) {
-    metrics_.Increment(kRejectedInvalid);
-    return reject(InvalidArgumentError("m must be nonnegative"));
-  }
-  if (request.deadline_ms < 0) {
-    metrics_.Increment(kRejectedInvalid);
-    return reject(InvalidArgumentError("deadline_ms must be nonnegative"));
-  }
-  if (solvers_.find(request.solver) == solvers_.end()) {
-    metrics_.Increment(kRejectedInvalid);
-    return reject(NotFoundError("unknown solver '" + request.solver +
-                                "'; valid: " +
-                                Join(RegisteredSolverNames(), ", ")));
-  }
-
-  // Admission tier: bound the queue, never a worker's time.
-  if (options_.max_queue > 0 && QueueSize() >= options_.max_queue) {
-    metrics_.Increment(kRejectedQueueFull);
-    return reject(
-        OverloadedError("request queue full (" +
-                        std::to_string(options_.max_queue) + ")"),
-        kShedReasonQueueFull, cost_model_.RetryAfterMs());
-  }
-
-  double deadline_ms = request.deadline_ms;
-  if (deadline_ms == 0) deadline_ms = options_.default_deadline_ms;
-
-  // Cost-aware admission: shed now if the prediction says the deadline
-  // cannot be met, instead of letting the request expire in the queue.
-  // With reject_expired the whole predicted completion must fit; in
-  // degrade mode only the queue wait must (a request reaching a worker
-  // before expiry still gets its Fallback answer, so only a wait that
-  // alone blows the deadline makes queueing pointless).
-  const double predicted_solve_ms =
-      cost_model_.PredictSolveMs(request.solver, request.m);
-  if (options_.predictive_shedding && deadline_ms > 0) {
-    const double predicted_wait_ms = cost_model_.PredictedQueueWaitMs();
-    const double predicted_ms = options_.reject_expired
-                                    ? predicted_wait_ms + predicted_solve_ms
-                                    : predicted_wait_ms;
-    if (predicted_ms > deadline_ms) {
-      metrics_.Increment(kShedPredicted);
-      const double retry_after_ms = cost_model_.RetryAfterMs();
-      if (options_.trace_recorder != nullptr &&
-          options_.trace_recorder->enabled()) {
-        options_.trace_recorder->RecordInstant(
-            "shed", "serve",
-            {obs::TraceArg::Str("id", request.id),
-             obs::TraceArg::Str("reason", kShedReasonPredicted),
-             obs::TraceArg::Num("predicted_ms", predicted_ms),
-             obs::TraceArg::Num("deadline_ms", deadline_ms),
-             obs::TraceArg::Num("retry_after_ms", retry_after_ms)});
-      }
-      return reject(
-          OverloadedError("predicted completion " +
-                          std::to_string(predicted_ms) + "ms exceeds deadline " +
-                          std::to_string(deadline_ms) + "ms"),
-          kShedReasonPredicted, retry_after_ms);
-    }
-  }
-
-  if (deadline_ms > 0) {
-    queued->deadline = Deadline::AfterSeconds(deadline_ms / 1000.0);
-  }
-  queued->effective_deadline_ms = deadline_ms;
-  queued->predicted_ms = predicted_solve_ms;
-  queued->request = std::move(request);
-  if (options_.trace_recorder != nullptr &&
-      options_.trace_recorder->enabled()) {
-    queued->submit_ns = options_.trace_recorder->NowNanos();
-  }
-
-  cost_model_.Charge(queued->predicted_ms);
-  {
-    MutexLock lock(inflight_mutex_);
-    ++inflight_;
-  }
-  {
-    MutexLock lock(queue_mutex_);
-    edf_queue_.Push(queued->deadline, queued);
-  }
-  metrics_.Increment(kAccepted);
-  // One drainer token per queued request; RunOne pops the most urgent
-  // entry, which is not necessarily the one pushed here.
-  if (!pool_.Submit([this] { RunOne(); })) {
-    // Shutdown raced the submit: the token was refused, so one queued
-    // entry (whichever is most urgent — all of them are about to be
-    // orphaned) must be resolved here to keep tokens and entries 1:1.
-    std::shared_ptr<QueuedRequest> victim;
-    {
-      MutexLock lock(queue_mutex_);
-      edf_queue_.Pop(&victim);
-    }
-    if (victim != nullptr) {
-      metrics_.Increment(kRejectedShutdown);
-      cost_model_.Settle(victim->predicted_ms);
-      SolveResponse response;
-      response.id = victim->request.id;
-      response.solver = victim->request.solver;
-      response.status = OverloadedError("service shutting down");
-      response.shed_reason = kShedReasonShutdown;
-      RecordOutcome(victim->request, response,
-                    victim->effective_deadline_ms, victim->predicted_ms);
-      victim->promise.set_value(std::move(response));
-      {
-        MutexLock lock(inflight_mutex_);
-        --inflight_;
-      }
-      inflight_cv_.NotifyAll();
-    }
-  }
-  return future;
-}
-
-void VisibilityService::Drain() {
-  MutexLock lock(inflight_mutex_);
-  while (inflight_ != 0) inflight_cv_.Wait(inflight_mutex_);
-}
-
-void VisibilityService::RunOne() {
-  std::shared_ptr<QueuedRequest> queued;
-  {
-    MutexLock lock(queue_mutex_);
-    // Empty is legal: a shutdown-refused token's victim resolution may
-    // have consumed this token's entry already.
-    if (!edf_queue_.Pop(&queued)) return;
-  }
-  // Feed the ladder with instantaneous occupancy at every pickup; with an
-  // unbounded queue, pressure is measured against one queued request per
-  // worker instead.
-  const double capacity = options_.max_queue > 0
-                              ? static_cast<double>(options_.max_queue)
-                              : static_cast<double>(pool_.num_threads());
-  ladder_.Observe(static_cast<double>(QueueSize()) / capacity);
-  SolveResponse response = Execute(*queued);
-  Finish(std::move(queued), std::move(response));
-}
-
-SolveResponse VisibilityService::Execute(QueuedRequest& queued) {
-  const SolveRequest& request = queued.request;
-  SolveResponse response;
-  response.id = request.id;
-  response.solver = request.solver;
-  response.queue_ms = queued.submit_timer.ElapsedMillis();
-  WallTimer solve_timer;
-
-  obs::TraceRecorder* const recorder = options_.trace_recorder;
-  const bool tracing =
-      recorder != nullptr && recorder->enabled() && queued.submit_ns > 0;
-  if (tracing) {
-    // Reconstructed on the worker thread: Submit handed off, this worker
-    // picked up. Nested under the request span emitted at Finish.
-    recorder->RecordComplete("queue_wait", "serve", queued.submit_ns,
-                             recorder->NowNanos() - queued.submit_ns);
-  }
-
-  const auto settle = [&] {
-    cost_model_.Settle(queued.predicted_ms);
-  };
-
-  SolveContext context(queued.deadline);
-  obs::TracingPhaseListener listener(tracing ? recorder : nullptr, "solve");
-  context.set_phase_listener(&listener);
-  std::string solver_name = request.solver;
-  if (queued.deadline.Expired()) {
-    // Late at pickup: never start the requested (possibly exact) solver.
-    if (options_.reject_expired) {
-      metrics_.Increment(kRejectedExpired);
-      response.status =
-          OverloadedError("deadline expired before a worker was available");
-      response.shed_reason = kShedReasonExpired;
-      response.retry_after_ms = cost_model_.RetryAfterMs();
-      response.solve_ms = solve_timer.ElapsedMillis();
-      settle();
-      return response;
-    }
-    // Degrade through the portfolio: the expired context stops the exact
-    // tier on its first checkpoint and the greedy tier answers.
-    solver_name = "Fallback";
-    metrics_.Increment(kLateFallback);
-  } else if (cache_.MaxSatisfiable(request.tuple, request.m) == 0) {
-    // Provably zero-visible: answer from the index without a solver.
-    const int m_eff = internal::EffectiveBudget(log_, request.tuple, request.m);
-    DynamicBitset selected(log_.num_attributes());
-    internal::PadSelection(log_, request.tuple, m_eff, &selected);
-    response.solution = internal::FinishSolution(log_, std::move(selected),
-                                                 /*proved_optimal=*/true);
-    response.fast_path = true;
-    metrics_.Increment(kFastPathZero);
-    metrics_.Increment(kCompleted);
-    metrics_.Increment("solver.none.completed");
-    response.solve_ms = solve_timer.ElapsedMillis();
-    settle();
-    return response;
-  }
-
-  // Sustained queue pressure lowers the effective solver tier before the
-  // breaker is even consulted.
-  const std::string laddered =
-      DegradationLadder::ApplyLevel(ladder_.level(), solver_name);
-  if (laddered != solver_name) {
-    metrics_.Increment(kLadderDowngraded);
-    response.ladder_downgraded = true;
-    solver_name = laddered;
-  }
-
-  // Per-solver breaker: a tripped tier reroutes to Fallback instead of
-  // running; half-open admits this request as the recovery probe.
-  if (solver_name != "Fallback") {
-    CircuitBreaker* breaker = breakers_.Get(solver_name);
-    if (breaker != nullptr && !breaker->Allow()) {
-      metrics_.Increment(kBreakerRerouted);
-      response.breaker_rerouted = true;
-      solver_name = "Fallback";
-    }
-  }
-
-  // Watchdog: a hard wall budget backstops the cooperative deadline.
-  std::shared_ptr<Watchdog::Ticket> ticket;
-  const double wall_ms = watchdog_.WallBudgetMs(queued.effective_deadline_ms);
-  if (wall_ms > 0) {
-    ticket = watchdog_.Register(request.id, wall_ms);
-    context.set_cancel_flag(&ticket->cancelled);
-  }
-
-  // MFI solvers run against the shared preprocessing cache; everything
-  // else solves directly (their per-request state is self-contained).
-  StatusOr<SocSolution> solution = [&]() -> StatusOr<SocSolution> {
-    obs::TraceSpan solve_span(tracing ? recorder : nullptr, "solve", "serve");
-    if (solve_span.active()) {
-      solve_span.AddArg(obs::TraceArg::Str("solver", solver_name));
-    }
-    if (options_.worker_hook) {
-      const WorkerHookContext hook_context{
-          request, solver_name, &context,
-          ticket != nullptr ? &ticket->cancelled : nullptr};
-      Status injected = options_.worker_hook(hook_context);
-      if (!injected.ok()) return injected;
-    }
-    if (solver_name == "MaxFreqItemSets") {
-      return mfi_walk_solver_.SolveWithIndex(cache_.walk_index(), log_,
-                                             request.tuple, request.m,
-                                             &context);
-    }
-    if (solver_name == "MaxFreqItemSets-dfs") {
-      return mfi_dfs_solver_.SolveWithIndex(cache_.dfs_index(), log_,
-                                            request.tuple, request.m,
-                                            &context);
-    }
-    const auto it = solvers_.find(solver_name);
-    SOC_CHECK(it != solvers_.end());
-    return it->second->SolveWithContext(log_, request.tuple, request.m,
-                                        &context);
-  }();
-  response.solve_ms = solve_timer.ElapsedMillis();
-  response.solver = solver_name;
-  watchdog_.Unregister(ticket);
-  settle();
-  cost_model_.Observe(solver_name, response.solve_ms);
-  CircuitBreaker* const ran_breaker = breakers_.Get(solver_name);
-
-  if (!solution.ok()) {
-    response.status = solution.status();
-    metrics_.Increment(kSolveErrors);
-    metrics_.Increment("solver." + solver_name + ".errors");
-    if (ran_breaker != nullptr) ran_breaker->RecordFailure();
-    return response;
-  }
-  response.solution = std::move(solution).value();
-  response.degraded = IsDegraded(response.solution);
-  response.stop_reason = SolutionStopReason(response.solution);
-  metrics_.Increment(kCompleted);
-  metrics_.Increment("solver." + solver_name + ".completed");
-  if (response.degraded) {
-    metrics_.Increment(kDegraded);
-    metrics_.Increment("solver." + solver_name + ".degraded");
-  }
-  if (ran_breaker != nullptr) {
-    const bool failure =
-        response.degraded && ran_breaker->options().count_degraded;
-    if (failure) {
-      ran_breaker->RecordFailure();
-    } else {
-      ran_breaker->RecordSuccess();
-    }
-  }
-  return response;
-}
-
-void VisibilityService::Finish(std::shared_ptr<QueuedRequest> queued,
-                               SolveResponse response) {
-  obs::TraceRecorder* const recorder = options_.trace_recorder;
-  const bool tracing =
-      recorder != nullptr && recorder->enabled() && queued->submit_ns > 0;
-  const std::int64_t response_start_ns = tracing ? recorder->NowNanos() : 0;
-  std::vector<obs::TraceArg> request_args;
-  if (tracing) {
-    request_args.push_back(obs::TraceArg::Str("id", response.id));
-    request_args.push_back(obs::TraceArg::Str("solver", response.solver));
-    request_args.push_back(
-        obs::TraceArg::Str("status", StatusCodeToString(response.status.code())));
-    request_args.push_back(obs::TraceArg::Int("degraded", response.degraded));
-    request_args.push_back(obs::TraceArg::Int("fast_path", response.fast_path));
-  }
-
-  metrics_.RecordLatency("queue", response.queue_ms);
-  metrics_.RecordLatency("solve", response.solve_ms);
-  metrics_.RecordLatency("total", response.queue_ms + response.solve_ms);
-
-  // Recorded before the promise resolves (like the trace spans below): a
-  // caller that drains the event log right after Drain() must see every
-  // request's event.
-  RecordOutcome(queued->request, response, queued->effective_deadline_ms,
-                queued->predicted_ms);
-
-  // Recorded before the promise resolves: a caller that exports the trace
-  // right after Drain() must see every request's spans.
-  if (tracing) {
-    const std::int64_t now_ns = recorder->NowNanos();
-    recorder->RecordComplete("response", "serve", response_start_ns,
-                             now_ns - response_start_ns);
-    // The umbrella: Submit hand-off through response construction,
-    // emitted on the worker thread so queue_wait/solve/response nest
-    // inside it.
-    recorder->RecordComplete("request", "serve", queued->submit_ns,
-                             now_ns - queued->submit_ns,
-                             std::move(request_args));
-  }
-
-  queued->promise.set_value(std::move(response));
-  {
-    MutexLock lock(inflight_mutex_);
-    --inflight_;
-  }
-  inflight_cv_.NotifyAll();
-}
-
-void VisibilityService::RecordOutcome(const SolveRequest& request,
-                                      const SolveResponse& response,
-                                      double deadline_ms,
-                                      double predicted_ms) {
-  obs::EventLog* const log = options_.event_log;
-  if (log != nullptr && log->ShouldRecord()) {
-    log->Record(BuildWideEvent(request, response, cost_model_.features(),
-                               deadline_ms, predicted_ms));
-  }
-  obs::SloEngine* const slo = options_.slo_engine;
-  if (slo != nullptr && CountsTowardSlo(response.status)) {
-    const std::string& tenant =
-        response.tenant_id.empty() ? request.tenant_id : response.tenant_id;
-    slo->RecordOutcome(tenant.empty() ? "default" : tenant,
-                       response.status.ok(),
-                       response.queue_ms + response.solve_ms);
-  }
-}
+    : snapshot_(std::make_shared<const tenant::TenantSnapshot>(
+          /*tenant_id=*/"", /*epoch=*/0, std::move(log),
+          options.mfi_cache_capacity)),
+      shard_(/*shard_index=*/-1, ShardOptions(options)) {}
 
 MetricsSnapshot VisibilityService::Metrics() const {
-  MetricsSnapshot snapshot = metrics_.Snapshot();
-  const CacheStats stats = cache_.mfi_stats();
+  MetricsSnapshot snapshot = shard_.Metrics();
+  const CacheStats stats = snapshot_->preprocessing().mfi_stats();
   snapshot.counters["mfi_cache.hits"] = stats.hits;
   snapshot.counters["mfi_cache.misses"] = stats.misses;
   snapshot.counters["mfi_cache.evictions"] = stats.evictions;
-  breakers_.ForEach([&](const std::string& name,
-                        const CircuitBreaker& breaker) {
-    snapshot.counters["breaker." + name + ".trips"] = breaker.trips();
-    snapshot.gauges["breaker." + name + ".state"] =
-        static_cast<double>(static_cast<int>(breaker.state()));
-  });
-  snapshot.gauges["queue_depth"] = static_cast<double>(QueueSize());
-  snapshot.gauges["busy_workers"] = static_cast<double>(pool_.busy_workers());
-  {
-    MutexLock lock(inflight_mutex_);
-    snapshot.gauges["inflight"] = static_cast<double>(inflight_);
-  }
-  snapshot.gauges["ladder.level"] = static_cast<double>(ladder_.level());
-  snapshot.gauges["predicted_backlog_ms"] = cost_model_.BacklogMs();
-  snapshot.gauges["watchdog.watched"] =
-      static_cast<double>(watchdog_.watched());
   snapshot.gauges["mfi_cache.entries"] = static_cast<double>(stats.entries);
   snapshot.gauges["mfi_cache.approx_bytes"] =
       static_cast<double>(stats.approx_bytes);
-  // Cumulative pool time split: wait vs work. Exposed as gauges because
-  // they are doubles, but both only grow.
-  snapshot.gauges["pool.queue_wait_ms_total"] = pool_.total_queue_wait_ms();
-  snapshot.gauges["pool.execute_ms_total"] = pool_.total_execute_ms();
   return snapshot;
 }
 

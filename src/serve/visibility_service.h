@@ -1,148 +1,42 @@
-// VisibilityService: the long-lived, concurrent serving layer for
-// SOC-CB-QL. One service owns one query log (the paper's Q), a
-// PreprocessingCache amortizing MFI mining and attribute bitmaps across
-// requests, and a fixed ThreadPool of solver workers.
+// VisibilityService: the single-tenant serving layer for SOC-CB-QL —
+// one query log (the paper's Q), a PreprocessingCache amortizing MFI
+// mining and attribute bitmaps across requests, and a fixed pool of
+// solver workers.
 //
-// Admission control. Submit() is non-blocking and always returns a
-// future:
-//  * malformed requests (wrong tuple width, negative m / deadline,
-//    unknown solver) resolve immediately with a typed error Status;
-//  * when the request queue is at max_queue, the request is load-shed
-//    with StatusCode::kOverloaded — it never occupies a worker;
-//  * cost-aware predictive shedding: a per-solver CostModel predicts the
-//    request's queue wait and solve time; a request whose deadline the
-//    prediction says cannot be met is shed at admission with kOverloaded,
-//    a shed_reason, and a retry_after_ms hint sized to the backlog —
-//    instead of expiring uselessly in the queue;
-//  * accepted requests wait in an earliest-deadline-first queue
-//    (serve/edf_queue.h): workers always pick the most urgent request,
-//    with FIFO order among equal (and absent) deadlines;
-//  * each request's deadline (deadline_ms, measured from Submit) is
-//    threaded into the worker's SolveContext, so a long solve degrades
-//    to a partial solution per the core contract instead of running
-//    away;
-//  * a request whose deadline has already expired when a worker picks it
-//    up is either rejected with kOverloaded (reject_expired = true) or
-//    downgraded to the FallbackSolver under the expired context
-//    (default), whose greedy tier completes in microseconds — late work
-//    never stalls the pool on an unbounded exact solve.
+// It is a facade over the one request pipeline, tenant::TenantShard
+// (tenant/shard.h), which holds the whole contract: typed validation
+// errors, the queue bound, cost-aware predictive shedding, the EDF
+// queue, deadline-threaded solves with the late-request Fallback
+// rescue, the degradation ladder, per-solver circuit breakers, the
+// watchdog, and a wide event + SLO outcome per request. The facade owns
+// one TenantSnapshot of its log (tenant "", epoch 0) and one shard
+// (index -1, no result cache), so single-tenant responses and events
+// carry no tenant id, epoch, shard index or cache_hit bit.
 //
-// Overload resilience at pickup:
-//  * a DegradationLadder watches smoothed queue occupancy and, under
-//    sustained pressure, downgrades exact tiers (level 1) or everything
-//    but the greedies (level 2) to Fallback;
-//  * per-solver CircuitBreakers (serve/circuit_breaker.h) trip a tier to
-//    Fallback after consecutive faults/deadline-degrades and probe
-//    recovery half-open;
-//  * a Watchdog (serve/watchdog.h) cancels solves wedged past a hard
-//    wall-time multiple of their deadline via the context's cancel flag.
-//
-// Responses carry the solution plus serving metadata (queue/solve
-// latency, degradation, which solver actually ran; sheds carry
-// shed_reason and retry_after_ms). All outcomes are counted in a
-// ServeMetrics registry (serve/metrics.h).
-//
-// Thread-safety: Submit/Drain/MetricsSnapshot may be called from any
-// thread. Drain() waits for every accepted request to resolve; the
-// destructor drains implicitly.
+// Thread-safety: Submit/Drain/Metrics may be called from any thread.
+// Drain() waits for every accepted request to resolve; the destructor
+// drains implicitly.
 
 #ifndef SOC_SERVE_VISIBILITY_SERVICE_H_
 #define SOC_SERVE_VISIBILITY_SERVICE_H_
 
-#include <atomic>
-#include <cstdint>
-#include <functional>
 #include <future>
-#include <memory>
-#include <string>
-#include <unordered_map>
+#include <utility>
 
 #include "boolean/query_log.h"
-#include "common/bitset.h"
-#include "common/lock_rank.h"
-#include "common/mutex.h"
-#include "common/solve_context.h"
-#include "common/thread_annotations.h"
-#include "common/thread_pool.h"
-#include "common/timer.h"
-#include "core/mfi_solver.h"
-#include "core/solver.h"
 #include "obs/event_log.h"
 #include "obs/slo.h"
 #include "obs/trace_recorder.h"
 #include "serve/circuit_breaker.h"
 #include "serve/cost_model.h"
 #include "serve/degradation_ladder.h"
-#include "serve/edf_queue.h"
 #include "serve/metrics.h"
-#include "serve/preprocessing_cache.h"
+#include "serve/request.h"
 #include "serve/watchdog.h"
+#include "tenant/shard.h"
+#include "tenant/snapshot.h"
 
 namespace soc::serve {
-
-struct SolveRequest {
-  std::string id;          // Echoed back; free-form.
-  DynamicBitset tuple;     // Width must equal the log's attribute count.
-  int m = 0;
-  std::string solver = "Fallback";  // A RegisteredSolverNames() entry.
-  double deadline_ms = 0;  // Per-request budget from Submit; 0 = default.
-  // Multi-tenant routing (tenant/sharded_service.h). Empty on the
-  // single-tenant VisibilityService path, where it is ignored; the
-  // sharded service requires it. Non-empty, <= 128 bytes (protocol.cc
-  // enforces both on the wire).
-  std::string tenant_id;
-};
-
-// Canonical shed_reason values carried on kOverloaded responses.
-inline constexpr char kShedReasonQueueFull[] = "queue_full";
-inline constexpr char kShedReasonPredicted[] = "predicted_deadline_miss";
-inline constexpr char kShedReasonExpired[] = "deadline_expired";
-inline constexpr char kShedReasonShutdown[] = "shutdown";
-
-struct SolveResponse {
-  std::string id;
-  std::string solver;      // Solver that actually ran (may be downgraded).
-  Status status;           // OK, or kOverloaded / kInvalidArgument / ...
-  SocSolution solution;    // Meaningful iff status.ok().
-  bool degraded = false;
-  StopReason stop_reason = StopReason::kNone;
-  bool fast_path = false;  // Answered from the bitmap index, no solver.
-  double queue_ms = 0;     // Submit → worker pickup.
-  double solve_ms = 0;     // Worker pickup → response.
-  // kOverloaded guidance: when to retry (0 = no hint) and why the
-  // request was shed (one of the kShedReason* constants; empty
-  // otherwise).
-  double retry_after_ms = 0;
-  std::string shed_reason;
-  // Multi-tenant serving metadata. tenant_id echoes the request's;
-  // epoch is the snapshot epoch the answer was computed against (> 0
-  // only on the sharded path); cache_hit marks answers replayed from
-  // the ResultCache without running a solver.
-  std::string tenant_id;
-  std::int64_t epoch = 0;
-  bool cache_hit = false;
-  // Observability-only outcome bits (wide-event log; never on the wire
-  // protocol): whether a tripped breaker or the degradation ladder
-  // changed the solver this request ran on.
-  bool breaker_rerouted = false;
-  bool ladder_downgraded = false;
-};
-
-// Chaos/test injection point, invoked on the worker thread after the
-// late/fast-path tiers and solver selection (ladder + breaker reroutes
-// applied), immediately before the solver runs. A non-OK return is
-// treated as a fault of the *effective* solver — it feeds the breaker
-// and the solver.<name>.errors counters exactly like a real solve error.
-// The hook may also stall (slow-worker injection) or call
-// context->InjectFault; it must be thread-safe.
-struct WorkerHookContext {
-  const SolveRequest& request;
-  const std::string& solver;  // Effective solver about to run.
-  SolveContext* context;
-  // The watchdog's cancel flag for this solve; nullptr when unmonitored.
-  const std::atomic<bool>* watchdog_flag;
-};
-using WorkerHook = std::function<Status(const WorkerHookContext&)>;
 
 struct VisibilityServiceOptions {
   int num_workers = 4;
@@ -156,7 +50,7 @@ struct VisibilityServiceOptions {
   // of degrading them through the Fallback tier.
   bool reject_expired = false;
   // Cost-aware admission: shed a request at Submit when the cost model
-  // predicts its deadline cannot be met (see the file comment). Disable
+  // predicts its deadline cannot be met (see tenant/shard.h). Disable
   // to fall back to pure queue-bound admission.
   bool predictive_shedding = true;
   CostModelOptions cost_model;
@@ -186,68 +80,31 @@ class VisibilityService {
   // The service copies the log once and shares it with every worker.
   explicit VisibilityService(QueryLog log,
                              VisibilityServiceOptions options = {});
-  ~VisibilityService();
 
   VisibilityService(const VisibilityService&) = delete;
   VisibilityService& operator=(const VisibilityService&) = delete;
 
-  // Non-blocking; see the admission-control contract above.
-  std::future<SolveResponse> Submit(SolveRequest request)
-      SOC_EXCLUDES(inflight_mutex_, queue_mutex_);
+  // Non-blocking; see TenantShard::Submit for the admission contract.
+  std::future<SolveResponse> Submit(SolveRequest request) {
+    return shard_.Submit(std::move(request), snapshot_);
+  }
 
   // Blocks until every accepted request has resolved. New Submits during
   // Drain are legal; Drain returns once the in-flight count hits zero.
-  void Drain() SOC_EXCLUDES(inflight_mutex_);
+  void Drain() { shard_.Drain(); }
 
-  const QueryLog& log() const { return log_; }
-  int num_workers() const { return pool_.num_threads(); }
+  const QueryLog& log() const { return snapshot_->log(); }
+  int num_workers() const { return shard_.num_workers(); }
 
-  // Live counters (incl. MFI cache hit/miss/eviction totals) plus
-  // point-in-time gauges: queue depth, busy workers, in-flight requests,
-  // cache residency, breaker states, ladder level, predicted backlog,
-  // and cumulative pool queue-wait/execute time.
-  MetricsSnapshot Metrics() const
-      SOC_EXCLUDES(inflight_mutex_, queue_mutex_);
+  // The shard's live counters and gauges (queue depth, busy workers,
+  // in-flight requests, breaker states, ladder level, predicted backlog,
+  // cumulative pool queue-wait/execute time) plus the MFI cache's
+  // hit/miss/eviction counters and residency gauges.
+  MetricsSnapshot Metrics() const;
 
  private:
-  struct QueuedRequest;
-
-  void RunOne() SOC_EXCLUDES(queue_mutex_);
-  SolveResponse Execute(QueuedRequest& queued);
-  void Finish(std::shared_ptr<QueuedRequest> queued, SolveResponse response)
-      SOC_EXCLUDES(inflight_mutex_);
-  std::size_t QueueSize() const SOC_EXCLUDES(queue_mutex_);
-  // Records the wide event and SLO outcome for one resolved request;
-  // called on every path that resolves a promise.
-  void RecordOutcome(const SolveRequest& request,
-                     const SolveResponse& response, double deadline_ms,
-                     double predicted_ms);
-
-  const QueryLog log_;
-  const VisibilityServiceOptions options_;
-  PreprocessingCache cache_;
-  // Registered solver instances, built once; SocSolver::SolveWithContext
-  // is const, so one instance serves all workers.
-  std::unordered_map<std::string, std::unique_ptr<SocSolver>> solvers_;
-  // Dedicated MFI solver instances whose solves run against the shared
-  // preprocessing cache instead of mining per request.
-  MfiSocSolver mfi_walk_solver_;
-  MfiSocSolver mfi_dfs_solver_;
-  ServeMetrics metrics_;
-  CostModel cost_model_;
-  BreakerPanel breakers_;
-  DegradationLadder ladder_;
-
-  mutable Mutex queue_mutex_{lock_rank::kServeQueue};
-  EdfQueue<std::shared_ptr<QueuedRequest>> edf_queue_
-      SOC_GUARDED_BY(queue_mutex_);
-
-  mutable Mutex inflight_mutex_{lock_rank::kServeInflight};
-  CondVar inflight_cv_;
-  std::int64_t inflight_ SOC_GUARDED_BY(inflight_mutex_) = 0;
-
-  Watchdog watchdog_;  // Before pool_: workers hold watchdog tickets.
-  ThreadPool pool_;  // Last member: workers must die before state above.
+  const tenant::SnapshotPtr snapshot_;  // Before shard_: requests pin it.
+  tenant::TenantShard shard_;
 };
 
 }  // namespace soc::serve

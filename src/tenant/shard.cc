@@ -13,8 +13,7 @@ namespace soc::tenant {
 
 namespace {
 
-// Shard-level metric names; identical to VisibilityService's so merged
-// multi-tenant snapshots and single-tenant snapshots read the same.
+// Metric names, kept in one place so tools and tests agree.
 constexpr char kSubmitted[] = "submitted";
 constexpr char kAccepted[] = "accepted";
 constexpr char kRejectedQueueFull[] = "rejected_queue_full";
@@ -30,6 +29,7 @@ constexpr char kSolveErrors[] = "solve_errors";
 constexpr char kBreakerRerouted[] = "breaker_rerouted";
 constexpr char kLadderDowngraded[] = "ladder_downgraded";
 constexpr char kUnknownTenant[] = "rejected_unknown_tenant";
+constexpr char kCacheHits[] = "cache_hits";
 
 }  // namespace
 
@@ -37,26 +37,28 @@ struct TenantShard::QueuedRequest {
   serve::SolveRequest request;
   SnapshotPtr snapshot;  // Pinned at Submit; the RCU read-side hold.
   std::promise<serve::SolveResponse> promise;
-  WallTimer submit_timer;
+  WallTimer submit_timer;  // Started at Submit.
   Deadline deadline = Deadline::Infinite();
-  double effective_deadline_ms = 0;
-  double predicted_ms = 0;
+  double effective_deadline_ms = 0;  // After the default applied; 0 = none.
+  double predicted_ms = 0;           // Cost-model charge, settled at finish.
+  // Recorder time at Submit, when tracing was live then; 0 otherwise.
+  // Anchors the queue_wait and request spans emitted at pickup/finish.
   std::int64_t submit_ns = 0;
 };
 
-TenantShard::TenantShard(int shard_index, const TenantRegistry* registry,
-                         TenantShardOptions options)
+TenantShard::TenantShard(int shard_index, TenantShardOptions options)
     : shard_index_(shard_index),
-      registry_(registry),
       options_(options),
       mfi_dfs_solver_([] {
         MfiSocOptions dfs;
         dfs.engine = MfiEngine::kExactDfs;
         return dfs;
       }()),
-      result_cache_(options.result_cache_capacity, &metrics_),
-      cost_model_(options.cost_features, options.num_workers,
-                  options.cost_model),
+      result_cache_(options.result_cache_capacity > 0
+                        ? std::make_unique<ResultCache>(
+                              options.result_cache_capacity, &metrics_)
+                        : nullptr),
+      cost_model_(options.num_workers, options.cost_model),
       breakers_(RegisteredSolverNames(), options.breaker),
       ladder_(options.ladder),
       watchdog_(options.watchdog, &metrics_, options.trace_recorder),
@@ -68,30 +70,35 @@ TenantShard::TenantShard(int shard_index, const TenantRegistry* registry,
   }
 }
 
-TenantShard::~TenantShard() { pool_.Shutdown(); }
+TenantShard::~TenantShard() {
+  // ThreadPool's shutdown drains the queue, which resolves every
+  // outstanding promise through Finish before members are torn down.
+  pool_.Shutdown();
+}
 
 std::size_t TenantShard::QueueSize() const {
   MutexLock lock(queue_mutex_);
   return edf_queue_.size();
 }
 
-void TenantShard::CountTenant(const std::string& tenant_id,
-                              const char* name) {
-  metrics_.Increment(name);
-  metrics_.Increment("tenant." + tenant_id + "." + name);
+void TenantShard::IncrementTenant(const std::string& tenant_id,
+                                  const char* name) {
+  if (!tenant_id.empty()) {
+    metrics_.Increment("tenant." + tenant_id + "." + name);
+  }
 }
 
 std::future<serve::SolveResponse> TenantShard::Submit(
-    serve::SolveRequest request) {
+    serve::SolveRequest request, SnapshotPtr snapshot) {
+  // Covers validation + admission on the submitting thread; the
+  // worker-side spans (queue_wait onward) anchor to submit_ns below.
   obs::TraceSpan admission(options_.trace_recorder, "admission", "serve");
   if (admission.active()) {
     admission.AddArg(obs::TraceArg::Str("id", request.id));
     admission.AddArg(obs::TraceArg::Str("tenant", request.tenant_id));
   }
   metrics_.Increment(kSubmitted);
-  if (!request.tenant_id.empty()) {
-    metrics_.Increment("tenant." + request.tenant_id + ".submitted");
-  }
+  IncrementTenant(request.tenant_id, kSubmitted);
   if (request.solver.empty()) request.solver = "Fallback";
 
   auto queued = std::make_shared<QueuedRequest>();
@@ -106,21 +113,22 @@ std::future<serve::SolveResponse> TenantShard::Submit(
     response.status = std::move(status);
     if (shed_reason != nullptr) response.shed_reason = shed_reason;
     response.retry_after_ms = retry_after_ms;
-    RecordOutcome(request, response, request.deadline_ms, 0);
+    RecordOutcome(request, response,
+                  snapshot != nullptr ? snapshot->features()
+                                      : serve::CostFeatures{},
+                  request.deadline_ms, 0);
     queued->promise.set_value(std::move(response));
     return std::move(future);
   };
 
-  // Validation tier. Tenant existence first: width is defined relative
-  // to the tenant's pinned snapshot.
-  if (request.tenant_id.empty()) {
-    metrics_.Increment(kRejectedInvalid);
-    return reject(InvalidArgumentError(
-        "tenant_id is required on the sharded service"));
-  }
-  SnapshotPtr snapshot = registry_->Acquire(request.tenant_id);
+  // Validation tier: malformed requests never reach the queue. The
+  // tenant comes first — width is defined by the tenant's snapshot.
   if (snapshot == nullptr) {
     metrics_.Increment(kRejectedInvalid);
+    if (request.tenant_id.empty()) {
+      return reject(InvalidArgumentError(
+          "tenant_id is required on the sharded service"));
+    }
     metrics_.Increment(kUnknownTenant);
     return reject(
         NotFoundError("unknown tenant '" + request.tenant_id + "'"));
@@ -128,11 +136,14 @@ std::future<serve::SolveResponse> TenantShard::Submit(
   const QueryLog& log = snapshot->log();
   if (static_cast<int>(request.tuple.size()) != log.num_attributes()) {
     metrics_.Increment(kRejectedInvalid);
+    const std::string width = std::to_string(log.num_attributes());
     return reject(InvalidArgumentError(
-        "tuple width " + std::to_string(request.tuple.size()) +
-        " != tenant '" + request.tenant_id + "' attribute count " +
-        std::to_string(log.num_attributes()) + " (epoch " +
-        std::to_string(snapshot->epoch()) + ")"));
+        "tuple width " + std::to_string(request.tuple.size()) + " != " +
+        (request.tenant_id.empty()
+             ? "log attribute count " + width
+             : "tenant '" + request.tenant_id + "' attribute count " +
+                   width + " (epoch " + std::to_string(snapshot->epoch()) +
+                   ")")));
   }
   if (request.m < 0) {
     metrics_.Increment(kRejectedInvalid);
@@ -149,7 +160,7 @@ std::future<serve::SolveResponse> TenantShard::Submit(
                                 Join(RegisteredSolverNames(), ", ")));
   }
 
-  // Admission tier, identical to the single-tenant service.
+  // Admission tier: bound the queue, never a worker's time.
   if (options_.max_queue > 0 && QueueSize() >= options_.max_queue) {
     metrics_.Increment(kRejectedQueueFull);
     return reject(
@@ -161,8 +172,14 @@ std::future<serve::SolveResponse> TenantShard::Submit(
   double deadline_ms = request.deadline_ms;
   if (deadline_ms == 0) deadline_ms = options_.default_deadline_ms;
 
-  const double predicted_solve_ms =
-      cost_model_.PredictSolveMs(request.solver, request.m);
+  // Cost-aware admission: shed now if the prediction says the deadline
+  // cannot be met, instead of letting the request expire in the queue.
+  // With reject_expired the whole predicted completion must fit; in
+  // degrade mode only the queue wait must (a request reaching a worker
+  // before expiry still gets its Fallback answer, so only a wait that
+  // alone blows the deadline makes queueing pointless).
+  const double predicted_solve_ms = cost_model_.PredictSolveMs(
+      snapshot->features(), request.solver, request.m);
   if (options_.predictive_shedding && deadline_ms > 0) {
     const double predicted_wait_ms = cost_model_.PredictedQueueWaitMs();
     const double predicted_ms = options_.reject_expired
@@ -179,6 +196,7 @@ std::future<serve::SolveResponse> TenantShard::Submit(
              obs::TraceArg::Str("tenant", request.tenant_id),
              obs::TraceArg::Str("reason", serve::kShedReasonPredicted),
              obs::TraceArg::Num("predicted_ms", predicted_ms),
+             obs::TraceArg::Num("deadline_ms", deadline_ms),
              obs::TraceArg::Num("retry_after_ms", retry_after_ms)});
       }
       return reject(OverloadedError(
@@ -206,21 +224,26 @@ std::future<serve::SolveResponse> TenantShard::Submit(
     MutexLock lock(inflight_mutex_);
     ++inflight_;
   }
-  CountTenant(queued->request.tenant_id, kAccepted);
+  metrics_.Increment(kAccepted);
+  IncrementTenant(queued->request.tenant_id, kAccepted);
   {
     MutexLock lock(queue_mutex_);
     edf_queue_.Push(queued->deadline, queued);
   }
+  // One drainer token per queued request; RunOne pops the most urgent
+  // entry, which is not necessarily the one pushed here.
   if (!pool_.Submit([this] { RunOne(); })) {
-    // Shutdown raced the submit; resolve one (most urgent) orphaned
-    // entry, exactly as VisibilityService does.
+    // Shutdown raced the submit: the token was refused, so one queued
+    // entry (whichever is most urgent — all of them are about to be
+    // orphaned) must be resolved here to keep tokens and entries 1:1.
     std::shared_ptr<QueuedRequest> victim;
     {
       MutexLock lock(queue_mutex_);
       edf_queue_.Pop(&victim);
     }
     if (victim != nullptr) {
-      CountTenant(victim->request.tenant_id, kRejectedShutdown);
+      metrics_.Increment(kRejectedShutdown);
+      IncrementTenant(victim->request.tenant_id, kRejectedShutdown);
       cost_model_.Settle(victim->predicted_ms);
       serve::SolveResponse response;
       response.id = victim->request.id;
@@ -228,7 +251,7 @@ std::future<serve::SolveResponse> TenantShard::Submit(
       response.tenant_id = victim->request.tenant_id;
       response.status = OverloadedError("service shutting down");
       response.shed_reason = serve::kShedReasonShutdown;
-      RecordOutcome(victim->request, response,
+      RecordOutcome(victim->request, response, victim->snapshot->features(),
                     victim->effective_deadline_ms, victim->predicted_ms);
       victim->promise.set_value(std::move(response));
       {
@@ -250,8 +273,13 @@ void TenantShard::RunOne() {
   std::shared_ptr<QueuedRequest> queued;
   {
     MutexLock lock(queue_mutex_);
+    // Empty is legal: a shutdown-refused token's victim resolution may
+    // have consumed this token's entry already.
     if (!edf_queue_.Pop(&queued)) return;
   }
+  // Feed the ladder with instantaneous occupancy at every pickup; with an
+  // unbounded queue, pressure is measured against one queued request per
+  // worker instead.
   const double capacity = options_.max_queue > 0
                               ? static_cast<double>(options_.max_queue)
                               : static_cast<double>(pool_.num_threads());
@@ -276,15 +304,19 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
   const bool tracing =
       recorder != nullptr && recorder->enabled() && queued.submit_ns > 0;
   if (tracing) {
+    // Reconstructed on the worker thread: Submit handed off, this worker
+    // picked up. Nested under the request span emitted at Finish.
     recorder->RecordComplete("queue_wait", "serve", queued.submit_ns,
                              recorder->NowNanos() - queued.submit_ns);
   }
 
   const auto settle = [&] { cost_model_.Settle(queued.predicted_ms); };
 
+  // Late at pickup: never start the requested (possibly exact) solver.
   const bool expired = queued.deadline.Expired();
   if (expired && options_.reject_expired) {
-    CountTenant(request.tenant_id, kRejectedExpired);
+    metrics_.Increment(kRejectedExpired);
+    IncrementTenant(request.tenant_id, kRejectedExpired);
     response.status =
         OverloadedError("deadline expired before a worker was available");
     response.shed_reason = serve::kShedReasonExpired;
@@ -297,42 +329,46 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
   // Result cache: key on the pinned epoch, so a PublishEpoch between
   // Submit and pickup cannot surface another epoch's answer — and
   // conversely a stale entry from a drained epoch is unreachable here.
+  // A shard without a cache builds no key and takes no cache lock.
   ResultCacheKey key;
-  key.tenant_id = request.tenant_id;
-  key.solver = request.solver;
-  key.tuple_bits = request.tuple.ToString();
-  key.m = request.m;
-  key.epoch = snapshot.epoch();
   ResultCache::FlightPtr flight;
-  CachedResultPtr cached;
-  {
-    // The follower wait (if any) is the only blocking part of a lookup.
-    obs::TraceSpan wait_span(tracing ? recorder : nullptr,
-                             "result_cache_wait", "tenant");
-    cached = result_cache_.Lookup(key, queued.deadline, &flight);
-  }
-  if (cached != nullptr) {
-    // Replay: a solver's exact answers are a function of the key alone.
-    response.solution = cached->solution;
-    response.solver = cached->solver;
-    response.cache_hit = true;
-    CountTenant(request.tenant_id, kCompleted);
-    metrics_.Increment("tenant." + request.tenant_id + ".cache_hits");
-    if (tracing) {
-      recorder->RecordInstant(
-          "cache_hit", "tenant",
-          {obs::TraceArg::Str("tenant", request.tenant_id),
-           obs::TraceArg::Int("epoch", snapshot.epoch())});
+  if (result_cache_ != nullptr) {
+    key.tenant_id = request.tenant_id;
+    key.solver = request.solver;
+    key.tuple_bits = request.tuple.ToString();
+    key.m = request.m;
+    key.epoch = snapshot.epoch();
+    CachedResultPtr cached;
+    {
+      // The follower wait (if any) is the only blocking part of a lookup.
+      obs::TraceSpan wait_span(tracing ? recorder : nullptr,
+                               "result_cache_wait", "tenant");
+      cached = result_cache_->Lookup(key, queued.deadline, &flight);
     }
-    response.solve_ms = solve_timer.ElapsedMillis();
-    settle();
-    return response;
+    if (cached != nullptr) {
+      // Replay: a solver's exact answers are a function of the key alone.
+      response.solution = cached->solution;
+      response.solver = cached->solver;
+      response.cache_hit = true;
+      metrics_.Increment(kCompleted);
+      IncrementTenant(request.tenant_id, kCompleted);
+      IncrementTenant(request.tenant_id, kCacheHits);
+      if (tracing) {
+        recorder->RecordInstant(
+            "cache_hit", "tenant",
+            {obs::TraceArg::Str("tenant", request.tenant_id),
+             obs::TraceArg::Int("epoch", snapshot.epoch())});
+      }
+      response.solve_ms = solve_timer.ElapsedMillis();
+      settle();
+      return response;
+    }
   }
-  // Leader (or solo when the wait timed out / contention): solve below;
-  // publish only exact leader results.
+  // Leader (or solo when the wait timed out / contention, or no cache):
+  // solve below; publish only exact leader results.
   const auto abandon_if_leader = [&] {
     if (flight != nullptr) {
-      result_cache_.Abandon(key, flight);
+      result_cache_->Abandon(key, flight);
       flight = nullptr;
     }
   };
@@ -342,11 +378,13 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
   context.set_phase_listener(&listener);
   std::string solver_name = request.solver;
   if (expired) {
-    // Late at pickup in degrade mode: the greedy rescue answers.
+    // Degrade through the portfolio: the expired context stops the exact
+    // tier on its first checkpoint and the greedy tier answers.
     solver_name = "Fallback";
     metrics_.Increment(kLateFallback);
   } else if (snapshot.preprocessing().MaxSatisfiable(request.tuple,
                                                      request.m) == 0) {
+    // Provably zero-visible: answer from the index without a solver.
     const int m_eff =
         internal::EffectiveBudget(log, request.tuple, request.m);
     DynamicBitset selected(log.num_attributes());
@@ -355,19 +393,22 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
                                                  /*proved_optimal=*/true);
     response.fast_path = true;
     metrics_.Increment(kFastPathZero);
-    CountTenant(request.tenant_id, kCompleted);
+    metrics_.Increment(kCompleted);
+    IncrementTenant(request.tenant_id, kCompleted);
     metrics_.Increment("solver.none.completed");
     response.solve_ms = solve_timer.ElapsedMillis();
     // The fast-path answer is exact: publish it so the next identical
     // request doesn't even pay the bitmap scan.
     if (flight != nullptr) {
-      result_cache_.Publish(key, std::move(flight),
-                            CachedResult{response.solution, "none"});
+      result_cache_->Publish(key, std::move(flight),
+                             CachedResult{response.solution, "none"});
     }
     settle();
     return response;
   }
 
+  // Sustained queue pressure lowers the effective solver tier before the
+  // breaker is even consulted.
   const std::string laddered =
       serve::DegradationLadder::ApplyLevel(ladder_.level(), solver_name);
   if (laddered != solver_name) {
@@ -376,6 +417,8 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
     solver_name = laddered;
   }
 
+  // Per-solver breaker: a tripped tier reroutes to Fallback instead of
+  // running; half-open admits this request as the recovery probe.
   if (solver_name != "Fallback") {
     serve::CircuitBreaker* breaker = breakers_.Get(solver_name);
     if (breaker != nullptr && !breaker->Allow()) {
@@ -385,6 +428,7 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
     }
   }
 
+  // Watchdog: a hard wall budget backstops the cooperative deadline.
   std::shared_ptr<serve::Watchdog::Ticket> ticket;
   const double wall_ms = watchdog_.WallBudgetMs(queued.effective_deadline_ms);
   if (wall_ms > 0) {
@@ -392,6 +436,9 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
     context.set_cancel_flag(&ticket->cancelled);
   }
 
+  // MFI solvers run against the snapshot's preprocessing cache;
+  // everything else solves directly (their per-request state is
+  // self-contained).
   StatusOr<SocSolution> solution = [&]() -> StatusOr<SocSolution> {
     obs::TraceSpan solve_span(tracing ? recorder : nullptr, "solve", "serve");
     if (solve_span.active()) {
@@ -428,7 +475,8 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
 
   if (!solution.ok()) {
     response.status = solution.status();
-    CountTenant(request.tenant_id, kSolveErrors);
+    metrics_.Increment(kSolveErrors);
+    IncrementTenant(request.tenant_id, kSolveErrors);
     metrics_.Increment("solver." + solver_name + ".errors");
     if (ran_breaker != nullptr) ran_breaker->RecordFailure();
     abandon_if_leader();
@@ -437,7 +485,8 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
   response.solution = std::move(solution).value();
   response.degraded = IsDegraded(response.solution);
   response.stop_reason = SolutionStopReason(response.solution);
-  CountTenant(request.tenant_id, kCompleted);
+  metrics_.Increment(kCompleted);
+  IncrementTenant(request.tenant_id, kCompleted);
   metrics_.Increment("solver." + solver_name + ".completed");
   if (response.degraded) {
     metrics_.Increment(kDegraded);
@@ -445,8 +494,8 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
     // Partial answers are deadline artifacts, never cacheable.
     abandon_if_leader();
   } else if (flight != nullptr) {
-    result_cache_.Publish(key, std::move(flight),
-                          CachedResult{response.solution, solver_name});
+    result_cache_->Publish(key, std::move(flight),
+                           CachedResult{response.solution, solver_name});
   }
   if (ran_breaker != nullptr) {
     const bool failure =
@@ -468,12 +517,15 @@ void TenantShard::Finish(std::shared_ptr<QueuedRequest> queued,
   const std::int64_t response_start_ns = tracing ? recorder->NowNanos() : 0;
   std::vector<obs::TraceArg> request_args;
   if (tracing) {
-    request_args.push_back(obs::TraceArg::Str("id", response.id));
-    request_args.push_back(obs::TraceArg::Str("tenant", response.tenant_id));
-    request_args.push_back(obs::TraceArg::Str("solver", response.solver));
-    request_args.push_back(obs::TraceArg::Str(
-        "status", StatusCodeToString(response.status.code())));
-    request_args.push_back(obs::TraceArg::Int("cache_hit", response.cache_hit));
+    request_args = {
+        obs::TraceArg::Str("id", response.id),
+        obs::TraceArg::Str("tenant", response.tenant_id),
+        obs::TraceArg::Str("solver", response.solver),
+        obs::TraceArg::Str("status",
+                           StatusCodeToString(response.status.code())),
+        obs::TraceArg::Int("degraded", response.degraded),
+        obs::TraceArg::Int("fast_path", response.fast_path),
+        obs::TraceArg::Int("cache_hit", response.cache_hit)};
   }
 
   metrics_.RecordLatency("queue", response.queue_ms);
@@ -481,21 +533,24 @@ void TenantShard::Finish(std::shared_ptr<QueuedRequest> queued,
   metrics_.RecordLatency("total", response.queue_ms + response.solve_ms);
   // Separate hit/miss latency distributions: the bench's headline
   // comparison (hit p99 vs miss p99) reads these directly.
-  if (response.status.ok()) {
+  if (result_cache_ != nullptr && response.status.ok()) {
     metrics_.RecordLatency(response.cache_hit ? "cache_hit" : "cache_miss",
                            response.solve_ms);
   }
 
   // Recorded before the promise resolves (like the trace spans below):
-  // a caller that drains the event log right after Drain() must see
-  // every request's event.
-  RecordOutcome(queued->request, response, queued->effective_deadline_ms,
-                queued->predicted_ms);
+  // a caller that drains the event log or exports the trace right after
+  // Drain() must see every request's event and spans.
+  RecordOutcome(queued->request, response, queued->snapshot->features(),
+                queued->effective_deadline_ms, queued->predicted_ms);
 
   if (tracing) {
     const std::int64_t now_ns = recorder->NowNanos();
     recorder->RecordComplete("response", "serve", response_start_ns,
                              now_ns - response_start_ns);
+    // The umbrella: Submit hand-off through response construction,
+    // emitted on the worker thread so queue_wait/solve/response nest
+    // inside it.
     recorder->RecordComplete("request", "serve", queued->submit_ns,
                              now_ns - queued->submit_ns,
                              std::move(request_args));
@@ -513,12 +568,12 @@ void TenantShard::Finish(std::shared_ptr<QueuedRequest> queued,
 
 void TenantShard::RecordOutcome(const serve::SolveRequest& request,
                                 const serve::SolveResponse& response,
+                                const serve::CostFeatures& features,
                                 double deadline_ms, double predicted_ms) {
   obs::EventLog* const log = options_.event_log;
   if (log != nullptr && log->ShouldRecord()) {
-    obs::WideEvent event =
-        serve::BuildWideEvent(request, response, options_.cost_features,
-                              deadline_ms, predicted_ms);
+    obs::WideEvent event = serve::BuildWideEvent(request, response, features,
+                                                 deadline_ms, predicted_ms);
     event.shard = shard_index_;
     log->Record(std::move(event));
   }
@@ -550,8 +605,12 @@ serve::MetricsSnapshot TenantShard::Metrics() const {
   snapshot.gauges["predicted_backlog_ms"] = cost_model_.BacklogMs();
   snapshot.gauges["watchdog.watched"] =
       static_cast<double>(watchdog_.watched());
-  snapshot.gauges["result_cache.entries"] =
-      static_cast<double>(result_cache_.size());
+  if (result_cache_ != nullptr) {
+    snapshot.gauges["result_cache.entries"] =
+        static_cast<double>(result_cache_->size());
+  }
+  // Cumulative pool time split: wait vs work. Exposed as gauges because
+  // they are doubles, but both only grow.
   snapshot.gauges["pool.queue_wait_ms_total"] = pool_.total_queue_wait_ms();
   snapshot.gauges["pool.execute_ms_total"] = pool_.total_execute_ms();
   return snapshot;

@@ -1,29 +1,47 @@
-// TenantShard: one shard of the multi-tenant serving plane — the
-// per-shard half of ShardedService (tenant/sharded_service.h).
+// TenantShard: the one request pipeline of the serving layer. Every
+// request — single-tenant through the VisibilityService facade
+// (serve/visibility_service.h), multi-tenant through ShardedService
+// (tenant/sharded_service.h) — is admitted, queued, solved and recorded
+// here, against the TenantSnapshot (log, preprocessing, cost features)
+// its caller hands in, so one shard serves any number of tenants.
 //
-// A shard is VisibilityService's machinery generalized from one log to
-// many tenants: it owns a worker ThreadPool, an EDF queue, a CostModel,
-// per-solver CircuitBreakers, a DegradationLadder and a Watchdog (the
-// whole PR-6 overload stack, now *per shard* so one hot tenant
-// neighborhood cannot trip another shard's breakers), plus the pieces
-// that make it multi-tenant:
+// Admission. Submit() is non-blocking and always returns a future:
+//  * malformed requests (unresolved tenant, wrong tuple width, negative
+//    m / deadline, unknown solver) resolve at once with a typed error;
+//  * at max_queue queued requests, a request is load-shed with
+//    StatusCode::kOverloaded — it never occupies a worker;
+//  * cost-aware predictive shedding: the CostModel predicts queue wait
+//    and solve time from the snapshot's features; a request whose
+//    deadline the prediction says cannot be met is shed with
+//    kOverloaded, a shed_reason and a retry_after_ms hint sized to the
+//    backlog, instead of expiring in the queue;
+//  * accepted requests wait in an earliest-deadline-first queue
+//    (serve/edf_queue.h), FIFO among equal (and absent) deadlines;
+//  * the deadline (deadline_ms from Submit) is threaded into the solve's
+//    SolveContext, so a long solve degrades to a partial solution;
+//  * a request already expired at pickup is rejected with kOverloaded
+//    (reject_expired) or downgraded to the Fallback greedy tier.
 //
-//  * requests pin their tenant's TenantSnapshot at Submit (RCU acquire
-//    through the shared TenantRegistry) and solve against that snapshot
-//    even if PublishEpoch swaps the slot while they wait in the queue —
-//    consistent-at-admission semantics, and the reason a response
-//    carries the epoch it was computed under;
-//  * a ResultCache keyed (tenant, tuple, m, epoch) answers repeated
-//    traffic without touching a solver, single-flighting concurrent
-//    misses on the same key.
+// At pickup a DegradationLadder downgrades exact tiers under sustained
+// queue pressure, per-solver CircuitBreakers reroute a faulting tier to
+// Fallback, and a Watchdog cancels solves wedged past a wall-time
+// multiple of their deadline (serve/degradation_ladder.h,
+// circuit_breaker.h, watchdog.h).
 //
-// Per-tenant ledger: alongside the shard-level counters every outcome
-// also bumps `tenant.<id>.submitted/accepted/completed/errors/expired/
-// shutdown` so the chaos harness can audit, for every tenant,
-//   accepted == completed + errors + expired + shutdown.
+// Tenancy is data, not a mode: a request pins its snapshot for its
+// whole lifetime (a PublishEpoch that swaps the registry slot meanwhile
+// does not change its answer; the response carries the pinned epoch, 0 =
+// untenanted); with result_cache_capacity > 0 a ResultCache keyed
+// (tenant, solver, tuple, m, epoch) replays repeated traffic,
+// single-flighting concurrent misses; a non-empty tenant id also bumps
+// `tenant.<id>.<counter>` for the submitted/accepted/completed/
+// solve_errors/rejected_expired/rejected_shutdown ledger the chaos
+// harness audits per tenant.
 //
-// Thread-safety mirrors VisibilityService: Submit/Drain/Metrics from any
-// thread; the destructor drains.
+// Every outcome is counted in a ServeMetrics registry and recorded as
+// one wide event (stamped with the shard index; -1 = unsharded) and SLO
+// outcome. Thread-safety: Submit/Drain/Metrics from any thread; the
+// destructor drains.
 
 #ifndef SOC_TENANT_SHARD_H_
 #define SOC_TENANT_SHARD_H_
@@ -48,9 +66,8 @@
 #include "serve/degradation_ladder.h"
 #include "serve/edf_queue.h"
 #include "serve/metrics.h"
-#include "serve/visibility_service.h"
+#include "serve/request.h"
 #include "serve/watchdog.h"
-#include "tenant/registry.h"
 #include "tenant/result_cache.h"
 #include "tenant/snapshot.h"
 
@@ -59,17 +76,11 @@ namespace soc::tenant {
 struct TenantShardOptions {
   int num_workers = 2;
   std::size_t max_queue = 256;  // 0 = unbounded.
-  // Entries per shard result cache.
+  // Entries in the shard's result cache; 0 = no cache.
   std::size_t result_cache_capacity = 4096;
   double default_deadline_ms = 0;
   bool reject_expired = false;
   bool predictive_shedding = true;
-  // Static cost-model prior features. A shard hosts many logs, so these
-  // are aggregate expectations, not measurements of one instance; the
-  // per-solver EWMA dominates once warm (serve/cost_model.h).
-  serve::CostFeatures cost_features{/*num_queries=*/200,
-                                    /*num_attributes=*/16,
-                                    /*collapse_ratio=*/1.0};
   serve::CostModelOptions cost_model;
   serve::CircuitBreakerOptions breaker;
   serve::DegradationLadderOptions ladder;
@@ -81,36 +92,35 @@ struct TenantShardOptions {
   // Typically shared across all shards of one ShardedService.
   obs::EventLog* event_log = nullptr;
   // Non-owning; must outlive the shard. Receives every non-invalid
-  // outcome keyed by tenant; shared across shards so burn rates are
-  // service-wide per tenant.
+  // outcome keyed by tenant ("default" for the empty id); shared across
+  // shards so burn rates are service-wide per tenant.
   obs::SloEngine* slo_engine = nullptr;
-  // Chaos/test injection, identical contract to VisibilityService's.
+  // See serve::WorkerHookContext; empty disables the hook.
   serve::WorkerHook worker_hook;
 };
 
 class TenantShard {
  public:
-  // `registry` is shared across shards and must outlive this one.
-  TenantShard(int shard_index, const TenantRegistry* registry,
-              TenantShardOptions options);
+  // `shard_index` stamps wide events; -1 marks an unsharded service.
+  TenantShard(int shard_index, TenantShardOptions options);
   ~TenantShard();
 
   TenantShard(const TenantShard&) = delete;
   TenantShard& operator=(const TenantShard&) = delete;
 
-  // Non-blocking. request.tenant_id must name a registered tenant whose
-  // ring shard is this one (ShardedService routes; direct callers are
-  // trusted). Admission mirrors VisibilityService: validation ->
-  // queue bound -> predictive shed -> EDF queue.
-  std::future<serve::SolveResponse> Submit(serve::SolveRequest request)
+  // Non-blocking; solves `request` against `snapshot`, which the caller
+  // resolved for request.tenant_id (ShardedService routes; direct
+  // callers are trusted). A null snapshot means the tenant could not be
+  // resolved: the request is rejected with kInvalidArgument (empty
+  // tenant id) or kNotFound (unknown tenant).
+  std::future<serve::SolveResponse> Submit(serve::SolveRequest request,
+                                           SnapshotPtr snapshot)
       SOC_EXCLUDES(inflight_mutex_, queue_mutex_);
 
   // Blocks until every accepted request has resolved.
   void Drain() SOC_EXCLUDES(inflight_mutex_);
 
-  int shard_index() const { return shard_index_; }
   int num_workers() const { return pool_.num_threads(); }
-  const ResultCache& result_cache() const { return result_cache_; }
 
   // Shard-local counters/histograms plus the usual gauge set (queue
   // depth, busy workers, inflight, ladder level, breaker states,
@@ -126,23 +136,27 @@ class TenantShard {
   void Finish(std::shared_ptr<QueuedRequest> queued,
               serve::SolveResponse response) SOC_EXCLUDES(inflight_mutex_);
   std::size_t QueueSize() const SOC_EXCLUDES(queue_mutex_);
-  // Bumps both `name` and `tenant.<id>.<name>`.
-  void CountTenant(const std::string& tenant_id, const char* name);
-  // Records the wide event (stamped with this shard's index) and SLO
-  // outcome for one resolved request; called on every path that
-  // resolves a promise.
+  // Bumps `tenant.<id>.<name>`; a no-op for the empty (untenanted) id.
+  void IncrementTenant(const std::string& tenant_id, const char* name);
+  // Records the wide event (stamped with this shard's index and the
+  // snapshot's features) and SLO outcome for one resolved request;
+  // called on every path that resolves a promise.
   void RecordOutcome(const serve::SolveRequest& request,
                      const serve::SolveResponse& response,
-                     double deadline_ms, double predicted_ms);
+                     const serve::CostFeatures& features, double deadline_ms,
+                     double predicted_ms);
 
   const int shard_index_;
-  const TenantRegistry* const registry_;
   const TenantShardOptions options_;
+  // Registered solver instances, built once; SocSolver::SolveWithContext
+  // is const, so one instance serves all workers.
   std::unordered_map<std::string, std::unique_ptr<SocSolver>> solvers_;
+  // Dedicated MFI solver instances whose solves run against the
+  // snapshot's preprocessing cache instead of mining per request.
   MfiSocSolver mfi_walk_solver_;
   MfiSocSolver mfi_dfs_solver_;
   serve::ServeMetrics metrics_;
-  ResultCache result_cache_;
+  const std::unique_ptr<ResultCache> result_cache_;  // nullptr = no cache.
   serve::CostModel cost_model_;
   serve::BreakerPanel breakers_;
   serve::DegradationLadder ladder_;

@@ -16,7 +16,7 @@ ShardedService::ShardedService(ShardedServiceOptions options)
   shards_.reserve(static_cast<std::size_t>(registry_.num_shards()));
   for (int i = 0; i < registry_.num_shards(); ++i) {
     shards_.push_back(
-        std::make_unique<TenantShard>(i, &registry_, options.shard));
+        std::make_unique<TenantShard>(i, options.shard));
   }
 }
 
@@ -52,8 +52,11 @@ std::future<serve::SolveResponse> ShardedService::Submit(
     span.AddArg(obs::TraceArg::Str("tenant", request.tenant_id));
     span.AddArg(obs::TraceArg::Int("shard", shard_index));
   }
+  // Pin the tenant's current snapshot (RCU acquire); nullptr for an
+  // empty or unknown tenant, which the shard rejects with a typed error.
+  SnapshotPtr snapshot = registry_.Acquire(request.tenant_id);
   return shards_[static_cast<std::size_t>(shard_index)]->Submit(
-      std::move(request));
+      std::move(request), std::move(snapshot));
 }
 
 void ShardedService::Drain() {

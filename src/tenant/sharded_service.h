@@ -1,13 +1,13 @@
 // ShardedService: the multi-tenant front door. Composes a TenantRegistry
 // (tenant -> snapshot RCU slots + consistent-hash ring) with N
-// TenantShards (each a full PR-6 serving stack: EDF queue, cost model,
+// TenantShards (each a full serving pipeline: EDF queue, cost model,
 // breakers, ladder, watchdog, worker pool, result cache).
 //
-// Data path:  Submit routes by ring.ShardOf(tenant_id) and hands the
-//             request to that shard; everything after — snapshot pin,
-//             cache probe, admission, solve — is shard-local, so tenants
-//             on different shards share nothing but the registry's
-//             read-mostly lock.
+// Data path:  Submit pins the tenant's current snapshot from the
+//             registry and hands request + snapshot to the tenant's ring
+//             shard; everything after — cache probe, admission, solve —
+//             is shard-local, so tenants on different shards share
+//             nothing but the registry's read-mostly lock.
 // Admin path: CreateTenant / PublishEpoch build snapshots off to the
 //             side and swap registry slots; no shard pauses, no queue
 //             flush — in-flight requests finish on the epoch they
@@ -30,7 +30,7 @@
 #include "boolean/query_log.h"
 #include "common/status.h"
 #include "serve/metrics.h"
-#include "serve/visibility_service.h"
+#include "serve/request.h"
 #include "tenant/registry.h"
 #include "tenant/shard.h"
 
@@ -69,11 +69,9 @@ class ShardedService {
 
   TenantRegistry& registry() { return registry_; }
   const TenantRegistry& registry() const { return registry_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
   int ShardOf(const std::string& tenant_id) const {
     return registry_.ShardOf(tenant_id);
   }
-  TenantShard& shard(int index) { return *shards_[index]; }
 
   // Merged counters/histograms + per-shard `shard.<i>.*` gauges +
   // registry gauges (tenants, epochs_published).

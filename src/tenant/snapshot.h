@@ -1,18 +1,22 @@
 // TenantSnapshot: one immutable epoch of one tenant's serving state —
-// the collapsed query log plus the PreprocessingCache (shared MFI
-// threshold indexes + attribute bitmaps) built over it.
+// the query log, the PreprocessingCache (shared MFI threshold indexes +
+// attribute bitmaps) built over it, and the log's CostFeatures (size,
+// width, collapse ratio), computed once here and read by the cost-model
+// prior and every wide event of a request served against the snapshot.
 //
-// Snapshots are the RCU unit of the multi-tenant layer. The registry
-// hands them out as shared_ptr-to-const; a request pins the snapshot it
-// was admitted under for its whole lifetime, so PublishEpoch can swap the
+// Snapshots are the RCU unit of the serving layer. The registry hands
+// them out as shared_ptr-to-const; a request pins the snapshot it was
+// admitted under for its whole lifetime, so PublishEpoch can swap the
 // registry's slot without waiting for in-flight solves — the old epoch
-// is destroyed when its last pinned reference drops ("drains").
+// is destroyed when its last pinned reference drops ("drains"). The
+// single-tenant VisibilityService holds one snapshot (tenant "", epoch
+// 0) for its whole life.
 //
-// Epochs are per-tenant, monotonically increasing from 1. The epoch
-// number participates in every ResultCache key, which is what makes
-// cache invalidation on publish free: new requests pin the new snapshot,
-// form keys with the new epoch, and simply never look up old entries
-// (which age out of the LRU).
+// Tenant epochs are monotonically increasing from 1. The epoch number
+// participates in every ResultCache key, which is what makes cache
+// invalidation on publish free: new requests pin the new snapshot, form
+// keys with the new epoch, and simply never look up old entries (which
+// age out of the LRU).
 //
 // The PreprocessingCache holds a reference to the snapshot's own log;
 // snapshots are always heap-allocated (see TenantRegistry), so that
@@ -24,9 +28,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "boolean/query_log.h"
+#include "serve/cost_model.h"
 #include "serve/preprocessing_cache.h"
 
 namespace soc::tenant {
@@ -36,11 +40,7 @@ class TenantSnapshot {
   // `mfi_cache_capacity` bounds each MFI engine's threshold cache, as in
   // VisibilityServiceOptions.
   TenantSnapshot(std::string tenant_id, std::int64_t epoch, QueryLog log,
-                 std::size_t mfi_cache_capacity)
-      : tenant_id_(std::move(tenant_id)),
-        epoch_(epoch),
-        log_(std::move(log)),
-        preprocessing_(log_, mfi_cache_capacity) {}
+                 std::size_t mfi_cache_capacity);
 
   TenantSnapshot(const TenantSnapshot&) = delete;
   TenantSnapshot& operator=(const TenantSnapshot&) = delete;
@@ -48,6 +48,7 @@ class TenantSnapshot {
   const std::string& tenant_id() const { return tenant_id_; }
   std::int64_t epoch() const { return epoch_; }
   const QueryLog& log() const { return log_; }
+  const serve::CostFeatures& features() const { return features_; }
 
   // Logically const: the cache is internally synchronized lazy state
   // (bitmaps, mined itemsets) over the immutable log.
@@ -57,6 +58,7 @@ class TenantSnapshot {
   const std::string tenant_id_;
   const std::int64_t epoch_;
   const QueryLog log_;  // Before preprocessing_: it holds a reference.
+  const serve::CostFeatures features_;
   mutable serve::PreprocessingCache preprocessing_;
 };
 

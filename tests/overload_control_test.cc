@@ -26,12 +26,13 @@ CostFeatures Features(int queries = 1000, int attributes = 12,
 // ------------------------------------------------------------ cost model
 
 TEST(CostModelTest, PriorOrdersTheSolverCostLadder) {
-  const CostModel model(Features(), /*num_workers=*/4);
-  const double brute = model.PredictSolveMs("BruteForce", 3);
-  const double bnb = model.PredictSolveMs("BranchAndBound", 3);
-  const double ilp = model.PredictSolveMs("ILP", 3);
-  const double mfi = model.PredictSolveMs("MaxFreqItemSets", 3);
-  const double greedy = model.PredictSolveMs("Fallback", 3);
+  const CostModel model(/*num_workers=*/4);
+  const CostFeatures features = Features();
+  const double brute = model.PredictSolveMs(features, "BruteForce", 3);
+  const double bnb = model.PredictSolveMs(features, "BranchAndBound", 3);
+  const double ilp = model.PredictSolveMs(features, "ILP", 3);
+  const double mfi = model.PredictSolveMs(features, "MaxFreqItemSets", 3);
+  const double greedy = model.PredictSolveMs(features, "Fallback", 3);
   EXPECT_GT(brute, bnb);
   EXPECT_GT(bnb, ilp);
   EXPECT_GT(ilp, mfi);
@@ -40,42 +41,46 @@ TEST(CostModelTest, PriorOrdersTheSolverCostLadder) {
 }
 
 TEST(CostModelTest, PriorScalesWithCollapsedQueryVolumeAndBudget) {
-  const CostModel small(Features(100), 4);
-  const CostModel large(Features(10000), 4);
-  EXPECT_GT(large.PredictSolveMs("ILP", 3), small.PredictSolveMs("ILP", 3));
+  const CostModel model(4);
+  const CostFeatures small = Features(100);
+  const CostFeatures large = Features(10000);
+  EXPECT_GT(model.PredictSolveMs(large, "ILP", 3),
+            model.PredictSolveMs(small, "ILP", 3));
 
   // The collapse ratio discounts duplicate queries: a log that collapses
   // to a tenth of its raw size predicts a tenth of the work.
-  const CostModel collapsed(Features(10000, 12, 0.1), 4);
-  EXPECT_NEAR(collapsed.PredictSolveMs("ILP", 3),
-              small.PredictSolveMs("ILP", 3) * 10, 1e-9);
+  const CostFeatures collapsed = Features(10000, 12, 0.1);
+  EXPECT_NEAR(model.PredictSolveMs(collapsed, "ILP", 3),
+              model.PredictSolveMs(small, "ILP", 3) * 10, 1e-9);
 
-  const CostModel base(Features(), 4);
-  EXPECT_GT(base.PredictSolveMs("ILP", 8), base.PredictSolveMs("ILP", 1));
+  const CostFeatures base = Features();
+  EXPECT_GT(model.PredictSolveMs(base, "ILP", 8),
+            model.PredictSolveMs(base, "ILP", 1));
 }
 
 TEST(CostModelTest, EwmaTakesOverAfterWarmup) {
   CostModelOptions options;
   options.warmup_samples = 4;
-  CostModel model(Features(), 4, options);
-  const double prior = model.PredictSolveMs("ILP", 2);
+  CostModel model(4, options);
+  const CostFeatures features = Features();
+  const double prior = model.PredictSolveMs(features, "ILP", 2);
 
   // Feed samples far above the prior; the prediction must move toward
   // them monotonically and match the EWMA once warm.
   double previous = prior;
   for (int i = 0; i < 4; ++i) {
     model.Observe("ILP", 50.0);
-    const double predicted = model.PredictSolveMs("ILP", 2);
+    const double predicted = model.PredictSolveMs(features, "ILP", 2);
     EXPECT_GT(predicted, previous);
     previous = predicted;
   }
-  EXPECT_NEAR(model.PredictSolveMs("ILP", 2), 50.0, 1e-9);
+  EXPECT_NEAR(model.PredictSolveMs(features, "ILP", 2), 50.0, 1e-9);
   // Observations are per-tier: Fallback keeps its (tiny) prior.
-  EXPECT_LT(model.PredictSolveMs("Fallback", 2), 1.0);
+  EXPECT_LT(model.PredictSolveMs(features, "Fallback", 2), 1.0);
 }
 
 TEST(CostModelTest, BacklogChargesAndSettlesSymmetrically) {
-  CostModel model(Features(), /*num_workers=*/2);
+  CostModel model(/*num_workers=*/2);
   EXPECT_EQ(model.BacklogMs(), 0);
   model.Charge(10.0);
   model.Charge(6.0);

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/visibility_service.h"
+#include "serve/request.h"
 
 namespace soc::serve {
 namespace {

@@ -18,6 +18,8 @@
 #include "boolean/query_log.h"
 #include "boolean/schema.h"
 #include "common/thread_pool.h"
+#include "obs/event_log.h"
+#include "obs/wide_event.h"
 
 namespace soc::tenant {
 namespace {
@@ -282,6 +284,69 @@ TEST(ShardedServiceTest, MetricsMergeLedgersAndPerShardGauges) {
     EXPECT_TRUE(metrics.gauges.count(prefix + "result_cache.entries"))
         << prefix;
   }
+}
+
+TEST(ShardedServiceTest, WideEventsCarryTheTenantLogsOwnFeatures) {
+  obs::EventLog events;
+  events.set_enabled(true);
+  ShardedServiceOptions options = SmallOptions();
+  options.shard.event_log = &events;
+  ShardedService service(options);
+  // Five queries over six attributes, three of them distinct: the
+  // collapse ratio is 3/5.
+  ASSERT_TRUE(service
+                  .CreateTenant("acme", MakeLog(6, {{0, 1}, {1, 2}, {0},
+                                                    {0, 1}, {1, 2}}))
+                  .ok());
+  ASSERT_TRUE(service.CreateTenant("globex", MakeLog(4, {{2}})).ok());
+
+  auto acme = service.Submit(MakeRequest("a", "acme", "011011", 2));
+  auto globex = service.Submit(MakeRequest("g", "globex", "0110", 1));
+  service.Drain();
+  ASSERT_TRUE(acme.get().status.ok());
+  ASSERT_TRUE(globex.get().status.ok());
+
+  std::vector<obs::WideEvent> drained;
+  events.Drain(&drained);
+  ASSERT_EQ(drained.size(), 2u);
+  for (const obs::WideEvent& event : drained) {
+    if (event.tenant == "acme") {
+      EXPECT_EQ(event.num_queries, 5);
+      EXPECT_EQ(event.num_attributes, 6);
+      EXPECT_DOUBLE_EQ(event.collapse_ratio, 3.0 / 5.0);
+    } else {
+      EXPECT_EQ(event.tenant, "globex");
+      EXPECT_EQ(event.num_queries, 1);
+      EXPECT_EQ(event.num_attributes, 4);
+      EXPECT_DOUBLE_EQ(event.collapse_ratio, 1.0);
+    }
+  }
+}
+
+TEST(ShardedServiceTest, ZeroResultCacheCapacityTurnsTheCacheOff) {
+  ShardedServiceOptions options = SmallOptions(1);
+  options.shard.result_cache_capacity = 0;
+  ShardedService service(options);
+  ASSERT_TRUE(
+      service.CreateTenant("acme", MakeLog(6, {{0, 1}, {1}, {2, 4}, {1, 4}}))
+          .ok());
+
+  for (int i = 0; i < 3; ++i) {
+    const serve::SolveResponse response =
+        service.Submit(MakeRequest("r" + std::to_string(i), "acme", "010110", 2))
+            .get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_FALSE(response.cache_hit);
+  }
+  service.Drain();
+
+  const serve::MetricsSnapshot metrics = service.Metrics();
+  EXPECT_EQ(metrics.counters.at("solver.ConsumeAttrCumul.completed"), 3);
+  EXPECT_EQ(metrics.counters.count("result_cache.hits"), 0u);
+  EXPECT_EQ(metrics.counters.count("result_cache.misses"), 0u);
+  EXPECT_EQ(metrics.gauges.count("shard.0.result_cache.entries"), 0u);
+  EXPECT_EQ(metrics.histograms.count("cache_hit"), 0u);
+  EXPECT_EQ(metrics.histograms.count("cache_miss"), 0u);
 }
 
 }  // namespace

@@ -241,6 +241,32 @@ TEST(SocLintTest, RejectMetricsSkipsCommentsHeadersAndOtherLayers) {
   EXPECT_TRUE(findings.empty()) << FindingsToJson(findings);
 }
 
+TEST(SocLintTest, RejectMetricsCoversTheTenantPipeline) {
+  std::vector<Finding> findings;
+  CheckRejectMetrics(
+      {"src/tenant/shard.cc",
+       "void Execute() {\n"
+       "  metrics_.Increment(kRejectedExpired);\n"
+       "  IncrementTenant(request.tenant_id, kRejectedExpired);\n"
+       "  response.status = OverloadedError(\"expired\");\n"
+       "}\n"},
+      &findings);
+  EXPECT_TRUE(findings.empty()) << FindingsToJson(findings);
+
+  // A per-tenant helper alone is not a named ServeMetrics bump.
+  CheckRejectMetrics(
+      {"src/tenant/shard.cc",
+       "void Execute() {\n"
+       "  CountTenant(request.tenant_id, kRejectedExpired);\n"
+       "  response.status = OverloadedError(\"expired\");\n"
+       "}\n"},
+      &findings);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "reject-metrics");
+  EXPECT_EQ(findings[0].path, "src/tenant/shard.cc");
+  EXPECT_EQ(findings[0].line, 3);
+}
+
 TEST(SocLintTest, RejectMetricsWindowDoesNotSpanDistantCounters) {
   // An Increment far above the rejection (outside the window) must not
   // satisfy the rule.
@@ -445,7 +471,7 @@ constexpr char kEventReasonsSnippet[] =
 TEST(SocLintTest, EventFieldParityPassesWhenVocabulariesMatch) {
   std::vector<Finding> findings;
   CheckEventFieldParity(
-      {{"src/serve/visibility_service.h", kShedConstantsSnippet},
+      {{"src/serve/request.h", kShedConstantsSnippet},
        {"src/obs/wide_event.h", kEventReasonsSnippet}},
       &findings);
   EXPECT_TRUE(findings.empty()) << FindingsToJson(findings);
@@ -454,7 +480,7 @@ TEST(SocLintTest, EventFieldParityPassesWhenVocabulariesMatch) {
 TEST(SocLintTest, EventFieldParityFlagsReasonTheSchemaCannotEncode) {
   std::vector<Finding> findings;
   CheckEventFieldParity(
-      {{"src/serve/visibility_service.h",
+      {{"src/serve/request.h",
         "inline constexpr char kShedReasonQueueFull[] = \"queue_full\";\n"
         "inline constexpr char kShedReasonShutdown[] = \"shutdown\";\n"
         "inline constexpr char kShedReasonBrownout[] = \"brownout\";\n"},
@@ -470,7 +496,7 @@ TEST(SocLintTest, EventFieldParityFlagsReasonTheSchemaCannotEncode) {
 TEST(SocLintTest, EventFieldParityFlagsStaleSchemaEntry) {
   std::vector<Finding> findings;
   CheckEventFieldParity(
-      {{"src/serve/visibility_service.h", kShedConstantsSnippet},
+      {{"src/serve/request.h", kShedConstantsSnippet},
        {"src/obs/wide_event.h",
         "inline constexpr const char* kWideEventShedReasons[] = {\n"
         "    \"queue_full\",\n"
@@ -487,7 +513,7 @@ TEST(SocLintTest, EventFieldParityFlagsStaleSchemaEntry) {
 TEST(SocLintTest, EventFieldParityIgnoresCommentMentions) {
   std::vector<Finding> findings;
   CheckEventFieldParity(
-      {{"src/serve/visibility_service.h",
+      {{"src/serve/request.h",
         "// kShedReason* constants; one of \"queue_full\" or so.\n"
         "inline constexpr char kShedReasonQueueFull[] = \"queue_full\";\n"
         "inline constexpr char kShedReasonShutdown[] = \"shutdown\";\n"},
@@ -500,13 +526,13 @@ TEST(SocLintTest, EventFieldParitySkipsTreesWithoutSchemaButFlagsBrokenOnes) {
   std::vector<Finding> findings;
   // No wide_event.h at all: nothing to check against.
   CheckEventFieldParity(
-      {{"src/serve/visibility_service.h", kShedConstantsSnippet}},
+      {{"src/serve/request.h", kShedConstantsSnippet}},
       &findings);
   EXPECT_TRUE(findings.empty());
 
   // Schema without the table is itself a finding.
   CheckEventFieldParity(
-      {{"src/serve/visibility_service.h", kShedConstantsSnippet},
+      {{"src/serve/request.h", kShedConstantsSnippet},
        {"src/obs/wide_event.h", "int x;\n"}},
       &findings);
   ASSERT_EQ(findings.size(), 1u);

@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/visibility_service.h"
+#include "serve/request.h"
 
 namespace soc::obs {
 namespace {

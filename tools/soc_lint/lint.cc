@@ -447,7 +447,9 @@ void CheckStopCadence(const SourceFile& file,
 
 void CheckRejectMetrics(const SourceFile& file,
                         std::vector<Finding>* findings) {
-  if (!StartsWith(file.path, "src/serve/") || !IsSource(file.path)) return;
+  const bool pipeline_layer = StartsWith(file.path, "src/serve/") ||
+                              StartsWith(file.path, "src/tenant/");
+  if (!pipeline_layer || !IsSource(file.path)) return;
   const std::string code = StripCommentsAndStrings(file.content);
   // A rejection and its counter bump live in the same short block; the
   // window is generous enough for an interleaved trace event but too
@@ -769,16 +771,13 @@ void CheckEventFieldParity(const std::vector<SourceFile>& files,
   const SourceFile* serve_header = nullptr;
   const SourceFile* event_header = nullptr;
   for (const SourceFile& file : files) {
-    if (EndsWith(file.path, "serve/visibility_service.h")) {
-      serve_header = &file;
-    }
+    if (EndsWith(file.path, "serve/request.h")) serve_header = &file;
     if (EndsWith(file.path, "obs/wide_event.h")) event_header = &file;
   }
   if (event_header == nullptr) return;  // Nothing to check against.
   if (serve_header == nullptr) {
     Add(findings, "event-field-parity", event_header->path, 0,
-        "obs/wide_event.h present but src/serve/visibility_service.h is "
-        "missing");
+        "obs/wide_event.h present but src/serve/request.h is missing");
     return;
   }
 
@@ -809,7 +808,7 @@ void CheckEventFieldParity(const std::vector<SourceFile>& files,
   }
   if (serve_reasons.empty()) {
     Add(findings, "event-field-parity", serve_header->path, 0,
-        "no kShedReason* constants found in visibility_service.h");
+        "no kShedReason* constants found in request.h");
     return;
   }
 
@@ -850,7 +849,7 @@ void CheckEventFieldParity(const std::vector<SourceFile>& files,
       Add(findings, "event-field-parity", event_header->path, 0,
           "kWideEventShedReasons[] lists \"" + reason +
               "\" which no kShedReason* constant in "
-              "visibility_service.h produces");
+              "request.h produces");
     }
   }
 }

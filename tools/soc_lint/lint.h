@@ -31,7 +31,8 @@
 //   layering         — no src layer below serve/ may #include "serve/..."
 //                      headers.
 //   reject-metrics   — every OverloadedError rejection constructed in
-//                      src/serve/*.cc must increment a named ServeMetrics
+//                      src/serve/*.cc or src/tenant/*.cc (the request
+//                      pipeline) must increment a named ServeMetrics
 //                      counter nearby, so load-shedding stays visible in
 //                      the overload ledger.
 //   cache-metrics    — every result-cache counter constant declared in
@@ -43,7 +44,7 @@
 //                      same way load-shedding does.
 //   event-field-parity — the shed_reason vocabulary lives twice by
 //                      design (the serve layer's kShedReason* constants
-//                      in src/serve/visibility_service.h and the
+//                      in src/serve/request.h and the
 //                      wide-event schema's kWideEventShedReasons[] table
 //                      in src/obs/wide_event.h, which cannot include
 //                      serve headers); the two lists must carry exactly

@@ -66,7 +66,8 @@
 //   --tenant=NAME:PATH       create tenant NAME from query-log CSV PATH
 //                            (repeatable; may also arrive via admin lines)
 //   --shards=N               number of shards (default 4)
-//   --result-cache-capacity=N  per-shard result-cache entries (default 4096)
+//   --result-cache-capacity=N  per-shard result-cache entries (default
+//                            4096; 0 turns the cache off)
 // --workers is per shard; --retries is unsupported in this mode.
 
 #include <cstdio>
@@ -142,8 +143,8 @@ int Usage() {
       "[--slo-latency-ms=T] [--slo-target=A] [--slo=TENANT:MS:A]\n"
       "   or: socvis_serve --tenant=NAME:PATH [--tenant=...] "
       "--requests=reqs.jsonl|- [--shards=N] "
-      "[--result-cache-capacity=N] (plus the flags above; --workers is "
-      "per shard, --retries is unsupported)\n  solvers: " +
+      "[--result-cache-capacity=N (0 = no cache)] (plus the flags above; "
+      "--workers is per shard, --retries is unsupported)\n  solvers: " +
       soc::Join(soc::RegisteredSolverNames(), ", "));
 }
 
