@@ -4,6 +4,24 @@
 // pruning (PEP) and HUT lookahead, with subsumption checks against the
 // already-discovered maximal sets.
 //
+// Progressive focusing (GenMax): each DFS node keeps the indices of the
+// known maximal sets that contain its prefix; sets found below the node
+// are appended to its list as its children return. The subtree ceiling
+// (prefix ∪ remaining tail) and every offered set contain the prefix, so
+// any maximal set that subsumes them is on the list, and each check reads
+// only the list instead of every set found so far.
+//
+// Word layout: itemsets are packed 64-bit words at a stride of
+// ceil(num_items / 64), the maximal sets so far in one flat array at that
+// stride; tidsets are words at a stride of ceil(num_transactions / 64),
+// ANDed from the database's item columns (DynamicBitset::words()) into
+// per-depth scratch. One code path serves every width, and no node
+// allocates once the per-depth buffers have grown.
+//
+// The search order — root items and each node's tail by ascending support,
+// then item — is fixed, so the result lists the maximal sets in the same
+// order on every run; the MFI solver's subset scan breaks ties by it.
+//
 // This is the deterministic counterpart of the paper's randomized two-phase
 // walk (random_walk.h); the MFI-based SOC solver can use either engine, and
 // bench/ablation_mfi compares them.

@@ -63,8 +63,11 @@ TEST(LockRankTest, TryLockPushesOnlyOnSuccess) {
   if (!kLockRankingEnabled) {
     GTEST_SKIP() << "lock ranking compiled out in this build";
   }
-  Mutex inner(kInner);
+  // Declared in the same order as the other tests: TSan's deadlock
+  // detector keys on addresses, and swapped declarations would reuse the
+  // other tests' stack slots in the opposite rank order.
   Mutex outer(kOuter);
+  Mutex inner(kInner);
   ASSERT_TRUE(inner.TryLock());
   // A failed TryLock must not leave a phantom entry on the held stack:
   // take-and-release outer first, which would abort if inner's failed
