@@ -5,9 +5,10 @@
 // same few filter combinations), so the efficient pipeline is:
 //
 //   1. analyze the log (size histogram, skew, duplication),
-//   2. collapse duplicates into a weighted instance,
-//   3. pick the m best tags exactly with the weighted branch-and-bound,
-//   4. sanity-check against the unweighted solver and value each tag.
+//   2. collapse duplicates into distinct queries with multiplicities,
+//   3. pick the m best tags exactly with branch-and-bound on the
+//      collapsed log,
+//   4. sanity-check against the raw-log solve and value each tag.
 //
 // Run: ./build/examples/job_posting
 
@@ -18,7 +19,6 @@
 #include "common/timer.h"
 #include "core/attribute_analysis.h"
 #include "core/bnb_solver.h"
-#include "core/weighted.h"
 #include "datagen/workload.h"
 
 int main() {
@@ -60,34 +60,35 @@ int main() {
       schema.size(), {0, 2, 3, 4, 5, 9, 14, 15});
   const int m = 4;
 
-  // Weighted pipeline.
-  WallTimer weighted_timer;
-  const WeightedSocInstance instance = WeightedSocInstance::FromLog(log);
-  auto weighted = SolveWeightedBnb(instance, posting, m);
-  SOC_CHECK(weighted.ok());
-  const double weighted_ms = weighted_timer.ElapsedMillis();
+  // Collapsed-log pipeline.
+  const BnbSocSolver solver;
+  WallTimer collapsed_timer;
+  const CollapsedLog collapsed = CollapseDuplicateQueries(log);
+  auto folded = solver.SolveCollapsed(collapsed, posting, m);
+  SOC_CHECK(folded.ok());
+  const double collapsed_ms = collapsed_timer.ElapsedMillis();
 
-  // Unweighted reference.
+  // Raw-log reference: the same selection.
   WallTimer raw_timer;
-  const BnbSocSolver raw_solver;
-  auto raw = raw_solver.Solve(log, posting, m);
+  auto raw = solver.Solve(log, posting, m);
   SOC_CHECK(raw.ok());
   const double raw_ms = raw_timer.ElapsedMillis();
+  SOC_CHECK(folded->selected == raw->selected);
 
   std::printf(
-      "weighted pipeline: %lld/%d searches reached in %.2f ms "
+      "collapsed log: %d/%d searches reached in %.2f ms "
       "(%d distinct queries)\n",
-      weighted->satisfied_weight, log.size(), weighted_ms,
-      instance.queries.size());
-  std::printf("raw-log solver:    %d/%d searches reached in %.2f ms\n",
+      folded->satisfied_queries, log.size(), collapsed_ms,
+      collapsed.queries.size());
+  std::printf("raw log:       %d/%d searches reached in %.2f ms\n",
               raw->satisfied_queries, log.size(), raw_ms);
   std::printf("chosen tags: ");
-  weighted->selected.ForEachSetBit(
+  folded->selected.ForEachSetBit(
       [&schema](int attr) { std::printf("%s ", schema.name(attr).c_str()); });
   std::printf("\n\n");
 
   // Which tags actually buy visibility?
-  auto values = AnalyzeAttributeValues(raw_solver, log, posting, m);
+  auto values = AnalyzeAttributeValues(solver, log, posting, m);
   SOC_CHECK(values.ok());
   std::printf("tag value (forced-in vs forced-out optimum at m=%d):\n", m);
   for (const AttributeValue& value : *values) {

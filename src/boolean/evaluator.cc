@@ -1,7 +1,5 @@
 #include "boolean/evaluator.h"
 
-#include "kernels/kernels.h"
-
 namespace soc {
 
 bool QueryRetrieves(const DynamicBitset& q, const DynamicBitset& tuple,
@@ -42,12 +40,6 @@ SatisfiableQueryView::SatisfiableQueryView(const QueryLog& log,
       original_indices_.push_back(i);
     }
   }
-  blocks_ = kernels::CoverageBlockSet(
-      queries_, static_cast<std::size_t>(log.num_attributes()));
-}
-
-int SatisfiableQueryView::CountSatisfied(const DynamicBitset& candidate) const {
-  return static_cast<int>(kernels::CountCovered(blocks_, candidate));
 }
 
 }  // namespace soc

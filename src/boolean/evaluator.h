@@ -13,7 +13,6 @@
 
 #include "boolean/query_log.h"
 #include "common/bitset.h"
-#include "kernels/coverage.h"
 
 namespace soc {
 
@@ -39,11 +38,6 @@ std::vector<int> SatisfiedQueryIndices(
 // A prefiltered view of a query log for one new tuple t: only queries with
 // q ⊆ t can ever be satisfied by a compression t' ⊆ t, so solvers iterate
 // over this subset. Remembers the mapping back to original query indices.
-//
-// The filtered queries are additionally laid out as a CoverageBlockSet so
-// CountSatisfied — the inner loop of brute-force enumeration — runs on
-// the batch coverage kernels (SIMD when the host has it, bit-identical to
-// the scalar loop either way).
 class SatisfiableQueryView {
  public:
   SatisfiableQueryView(const QueryLog& log, const DynamicBitset& tuple);
@@ -53,16 +47,9 @@ class SatisfiableQueryView {
   const std::vector<DynamicBitset>& queries() const { return queries_; }
   int original_index(int i) const { return original_indices_[i]; }
 
-  // Number of view queries contained in `candidate`.
-  int CountSatisfied(const DynamicBitset& candidate) const;
-
-  // The blocked kernel layout of the filtered queries (unit weights).
-  const kernels::CoverageBlockSet& blocks() const { return blocks_; }
-
  private:
   std::vector<DynamicBitset> queries_;
   std::vector<int> original_indices_;
-  kernels::CoverageBlockSet blocks_;
 };
 
 }  // namespace soc

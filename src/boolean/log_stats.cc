@@ -80,22 +80,19 @@ std::string FormatQueryLogStats(const QueryLog& log,
   return out;
 }
 
-QueryLog CollapseDuplicateQueries(const QueryLog& log,
-                                  std::vector<int>* weights) {
-  SOC_CHECK(weights != nullptr);
-  weights->clear();
-  QueryLog deduped(log.schema());
+CollapsedLog CollapseDuplicateQueries(const QueryLog& log) {
+  CollapsedLog collapsed{QueryLog(log.schema()), {}};
   std::unordered_map<DynamicBitset, int, DynamicBitsetHash> index;
   for (const DynamicBitset& q : log.queries()) {
-    const auto [it, inserted] = index.emplace(q, deduped.size());
+    const auto [it, inserted] = index.emplace(q, collapsed.queries.size());
     if (inserted) {
-      deduped.AddQuery(q);
-      weights->push_back(1);
+      collapsed.queries.AddQuery(q);
+      collapsed.weights.push_back(1);
     } else {
-      ++(*weights)[it->second];
+      ++collapsed.weights[it->second];
     }
   }
-  return deduped;
+  return collapsed;
 }
 
 int CountSatisfiedWeighted(const QueryLog& deduped,

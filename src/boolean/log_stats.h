@@ -7,6 +7,7 @@
 #define SOC_BOOLEAN_LOG_STATS_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "boolean/query_log.h"
@@ -37,11 +38,27 @@ QueryLogStats ComputeQueryLogStats(const QueryLog& log);
 std::string FormatQueryLogStats(const QueryLog& log,
                                 const QueryLogStats& stats);
 
-// Collapses exact-duplicate queries. `weights[i]` is the multiplicity of
-// `deduped.query(i)`; Σ weights = log.size(). Order of first occurrence
-// is preserved.
-QueryLog CollapseDuplicateQueries(const QueryLog& log,
-                                  std::vector<int>* weights);
+// A query log with exact duplicates collapsed: `queries.query(i)` stands
+// for `weights[i]` >= 1 identical queries of the raw log, in order of first
+// occurrence, so Σ weights = the raw log's size. The paper's objective is a
+// count over the multiset Q, so it reads the same on both forms;
+// BruteForceSolver, BnbSocSolver and GreedySolver solve this form directly
+// (SolveCollapsed).
+struct CollapsedLog {
+  QueryLog queries;
+  std::vector<int> weights;
+};
+
+CollapsedLog CollapseDuplicateQueries(const QueryLog& log);
+
+// The same collapse, returned as its two parts (the layer bench in
+// perfbench/ times it this way).
+inline QueryLog CollapseDuplicateQueries(const QueryLog& log,
+                                         std::vector<int>* weights) {
+  CollapsedLog collapsed = CollapseDuplicateQueries(log);
+  *weights = std::move(collapsed.weights);
+  return std::move(collapsed.queries);
+}
 
 // Weighted conjunctive objective over a collapsed log: Σ weights[i] over
 // queries retrieved by `tuple`. Equals CountSatisfiedQueries on the

@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "boolean/evaluator.h"
+#include "boolean/log_stats.h"
 #include "boolean/schema.h"
 #include "common/solve_context.h"
 #include "common/timer.h"
 #include "core/solver_registry.h"
-#include "core/weighted.h"
 #include "kernels/kernels.h"
 
 namespace soc::check {
@@ -250,42 +250,29 @@ Status CheckPermutationInvariance(const Instance& instance,
   return Status::OK();
 }
 
-Status CheckUnitWeights(const Instance& instance, const SocSolver& solver) {
-  // One weighted check per instance is enough; anchor it to BruteForce.
-  if (solver.name() != "BruteForce") return Status::OK();
-  SOC_ASSIGN_OR_RETURN(
-      const SocSolution unweighted,
-      SolveOrExplain(solver, instance.log, instance.tuple, instance.m));
-  if (!unweighted.proved_optimal) return Status::OK();
-
-  WeightedSocInstance unit;
-  unit.queries = instance.log;
-  unit.weights.assign(static_cast<std::size_t>(instance.log.size()), 1);
-  unit.total_weight = instance.log.size();
-  SOC_ASSIGN_OR_RETURN(
-      const WeightedSolution unit_solution,
-      SolveWeightedBruteForce(unit, instance.tuple, instance.m));
-  if (unit_solution.proved_optimal &&
-      unit_solution.satisfied_weight != unweighted.satisfied_queries) {
-    return Violation("weighted brute force with unit weights found " +
-                         std::to_string(unit_solution.satisfied_weight) +
-                         ", unweighted optimum is " +
-                         std::to_string(unweighted.satisfied_queries),
-                     instance);
+Status CheckCollapsedLog(const Instance& instance, const SocSolver& solver) {
+  // ILP, the MFI pair and Fallback have no collapsed-log entry.
+  const auto* collapsible = dynamic_cast<const CollapsibleSolver*>(&solver);
+  if (collapsible == nullptr) return Status::OK();
+  auto folded = collapsible->SolveCollapsed(
+      CollapseDuplicateQueries(instance.log), instance.tuple, instance.m);
+  if (!folded.ok()) {
+    return InternalError("solver " + solver.name() +
+                         " errored on a collapsed solve: " +
+                         folded.status().ToString());
   }
-
-  // Collapsing duplicates into multiplicities must not move the optimum.
-  const WeightedSocInstance collapsed =
-      WeightedSocInstance::FromLog(instance.log);
   SOC_ASSIGN_OR_RETURN(
-      const WeightedSolution collapsed_solution,
-      SolveWeightedBruteForce(collapsed, instance.tuple, instance.m));
-  if (collapsed_solution.proved_optimal &&
-      collapsed_solution.satisfied_weight != unweighted.satisfied_queries) {
-    return Violation("collapsed weighted instance optimum " +
-                         std::to_string(collapsed_solution.satisfied_weight) +
-                         " != raw-log optimum " +
-                         std::to_string(unweighted.satisfied_queries),
+      const SocSolution raw,
+      SolveOrExplain(solver, instance.log, instance.tuple, instance.m));
+  const SocSolution& solution = *folded;
+  if (solution.selected != raw.selected ||
+      solution.satisfied_queries != raw.satisfied_queries ||
+      solution.proved_optimal != raw.proved_optimal) {
+    return Violation(solver.name() + ": collapsed solve selected " +
+                         solution.selected.ToString() + " (" +
+                         std::to_string(solution.satisfied_queries) +
+                         "), raw solve " + raw.selected.ToString() + " (" +
+                         std::to_string(raw.satisfied_queries) + ")",
                      instance);
   }
   return Status::OK();
@@ -465,10 +452,10 @@ const std::vector<PropertyCheck>& PropertyCatalog() {
           {"permutation",
            "the optimum is invariant under attribute reordering",
            &CheckPermutationInvariance},
-          {"unit-weights",
-           "weighted pipeline with unit weights / collapsed duplicates "
-           "reproduces the unweighted optimum",
-           &CheckUnitWeights},
+          {"collapsed-log",
+           "solving the duplicate-collapsed log returns the raw solve's "
+           "selection and objective (BruteForce, BranchAndBound, greedies)",
+           &CheckCollapsedLog},
           {"degrade-contract",
            "injected faults and pre-expired deadlines yield valid partial "
            "solutions with matching stop reasons",

@@ -19,9 +19,11 @@
 //   permutation       reversing the attribute order leaves the optimum
 //                     unchanged (proved-optimal solves only; heuristics
 //                     may legally tie-break differently)
-//   unit-weights      the weighted pipeline with unit weights, and with
-//                     collapsed-duplicate multiplicities, reproduces the
-//                     unweighted optimum (runs on BruteForce only)
+//   collapsed-log     solving the duplicate-collapsed log (each query with
+//                     its multiplicity) returns exactly the raw solve's
+//                     selection, objective and optimality flag (runs on
+//                     the CollapsibleSolvers: BruteForce, BranchAndBound
+//                     and the three greedies)
 //   degrade-contract  injected faults and a pre-expired deadline yield a
 //                     valid partial solution with the degraded marker and
 //                     matching stop reason; a pre-expired deadline must

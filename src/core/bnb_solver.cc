@@ -90,25 +90,20 @@ class BnbSearch {
 
 }  // namespace
 
-StatusOr<SocSolution> BnbSocSolver::SolveWithContext(
-    const QueryLog& log, const DynamicBitset& tuple, int m,
-    SolveContext* context) const {
+StatusOr<SocSolution> BnbSocSolver::Run(const QueryLog& log,
+                                        const std::vector<int>* weights,
+                                        const DynamicBitset& tuple, int m,
+                                        SolveContext* context) const {
   const int m_eff = internal::EffectiveBudget(log, tuple, m);
   const int num_attrs = log.num_attributes();
 
   // Queries that a size-m_eff compression of t could ever satisfy.
-  std::vector<DynamicBitset> relevant;
-  DynamicBitset candidate_union(num_attrs);
-  for (const DynamicBitset& q : log.queries()) {
-    if (static_cast<int>(q.Count()) <= m_eff && q.IsSubsetOf(tuple)) {
-      relevant.push_back(q);
-      candidate_union |= q;
-    }
-  }
-  candidate_union &= tuple;
+  const internal::SatisfiableQueries relevant(log, weights, tuple, m_eff);
+  const DynamicBitset& candidate_union = relevant.attributes;
 
-  // Candidates ordered by descending log frequency (ties: index).
-  const std::vector<int> freq = log.AttributeFrequencies();
+  // One frequency vector per solve orders the candidates (descending log
+  // frequency, ties: index) and drives the seed and both paddings.
+  const std::vector<int> freq = internal::AttributeFrequencies(log, weights);
   std::vector<int> candidates = candidate_union.SetBits();
   std::sort(candidates.begin(), candidates.end(), [&freq](int a, int b) {
     if (freq[a] != freq[b]) return freq[a] > freq[b];
@@ -116,28 +111,28 @@ StatusOr<SocSolution> BnbSocSolver::SolveWithContext(
   });
 
   kernels::ScratchScope scratch;
-  const kernels::CoverageBlockSet blocks(
-      relevant, static_cast<std::size_t>(num_attrs), /*weights=*/nullptr,
-      &scratch.arena());
+  const kernels::CoverageBlockSet blocks = relevant.Blocks(&scratch.arena());
   BnbSearch search(&blocks, std::move(candidates), num_attrs, m_eff,
                    options_.max_nodes, context);
 
-  // Greedy incumbent (restricted to candidate attributes for a valid seed);
-  // run context-free so an already-stopped context still yields a usable
-  // anytime incumbent.
-  const GreedySolver greedy(GreedyKind::kConsumeAttrCumul);
-  SOC_ASSIGN_OR_RETURN(SocSolution seed, greedy.Solve(log, tuple, m_eff));
-  DynamicBitset seed_selection = seed.selected & candidate_union;
-  search.SeedIncumbent(seed_selection,
-                       CountSatisfiedQueries(log, seed_selection));
+  // Padded ConsumeAttrCumul incumbent, restricted to candidate attributes
+  // for a valid seed; run context-free so an already-stopped context still
+  // yields a usable anytime incumbent. Every query the seed satisfies is
+  // relevant, so the blocked layout counts it.
+  DynamicBitset seed = internal::ConsumeAttrCumulPicks(
+      log, weights, freq, tuple, m_eff, /*context=*/nullptr);
+  internal::PadSelection(freq, tuple, m_eff, &seed);
+  seed &= candidate_union;
+  search.SeedIncumbent(
+      seed, static_cast<int>(kernels::AccumulateWeighted(blocks, seed)));
 
   search.Run();
 
   DynamicBitset selected = search.best_selection();
-  internal::PadSelection(log, tuple, m_eff, &selected);
+  internal::PadSelection(freq, tuple, m_eff, &selected);
   SocSolution solution = internal::FinishSolution(
       log, std::move(selected),
-      /*proved_optimal=*/search.stop_reason() == StopReason::kNone);
+      /*proved_optimal=*/search.stop_reason() == StopReason::kNone, weights);
   solution.metrics.emplace_back("nodes", static_cast<double>(search.nodes()));
   if (search.stop_reason() != StopReason::kNone) {
     internal::MarkDegraded(search.stop_reason(), &solution);

@@ -29,17 +29,18 @@ struct BnbSocOptions {
   std::int64_t max_nodes = 100'000'000;
 };
 
-class BnbSocSolver : public SocSolver {
+class BnbSocSolver : public CollapsibleSolver {
  public:
   explicit BnbSocSolver(BnbSocOptions options = {}) : options_(options) {}
-
-  StatusOr<SocSolution> SolveWithContext(const QueryLog& log,
-                                         const DynamicBitset& tuple, int m,
-                                         SolveContext* context) const override;
 
   std::string name() const override { return "BranchAndBound"; }
 
  private:
+  StatusOr<SocSolution> Run(const QueryLog& log,
+                            const std::vector<int>* weights,
+                            const DynamicBitset& tuple, int m,
+                            SolveContext* context) const override;
+
   BnbSocOptions options_;
 };
 

@@ -3,30 +3,23 @@
 #include <algorithm>
 
 #include "common/combinatorics.h"
+#include "kernels/kernels.h"
 
 namespace soc {
 
-StatusOr<SocSolution> BruteForceSolver::SolveWithContext(
-    const QueryLog& log, const DynamicBitset& tuple, int m,
-    SolveContext* context) const {
+StatusOr<SocSolution> BruteForceSolver::Run(const QueryLog& log,
+                                            const std::vector<int>* weights,
+                                            const DynamicBitset& tuple, int m,
+                                            SolveContext* context) const {
   const int m_eff = internal::EffectiveBudget(log, tuple, m);
   const int num_attrs = log.num_attributes();
-  const SatisfiableQueryView view(log, tuple);
-
-  // Enumeration pool. Only queries with q ⊆ t and |q| <= m can ever be
-  // satisfied by an m-attribute compression, so attributes outside their
-  // union can never change the objective and are left to padding.
-  std::vector<int> pool;
-  if (options_.prune_candidates) {
-    DynamicBitset useful(num_attrs);
-    for (const DynamicBitset& q : view.queries()) {
-      if (static_cast<int>(q.Count()) <= m_eff) useful |= q;
-    }
-    useful &= tuple;
-    pool = useful.SetBits();
-  } else {
-    pool = tuple.SetBits();
-  }
+  // Only queries with q ⊆ t and |q| <= m can ever be satisfied by an
+  // m-attribute compression, so attributes outside their union can never
+  // change the objective and are left to padding.
+  const internal::SatisfiableQueries satisfiable(log, weights, tuple, m_eff);
+  const std::vector<int> pool = options_.prune_candidates
+                                    ? satisfiable.attributes.SetBits()
+                                    : tuple.SetBits();
 
   const int k = std::min<int>(m_eff, static_cast<int>(pool.size()));
   const std::uint64_t combinations =
@@ -34,7 +27,7 @@ StatusOr<SocSolution> BruteForceSolver::SolveWithContext(
 
   StopReason stop = StopReason::kNone;
   DynamicBitset best(num_attrs);
-  int best_count = -1;
+  long long best_count = -1;
   std::uint64_t enumerated = 0;
   if (options_.max_combinations > 0 &&
       combinations > options_.max_combinations) {
@@ -42,6 +35,10 @@ StatusOr<SocSolution> BruteForceSolver::SolveWithContext(
     // padding below serves the ConsumeAttr-style incumbent, degraded.
     stop = StopReason::kResourceLimit;
   } else {
+    // Each enumerated combination costs one batch kernel pass.
+    kernels::ScratchScope scratch;
+    const kernels::CoverageBlockSet blocks =
+        satisfiable.Blocks(&scratch.arena());
     DynamicBitset candidate(num_attrs);
     ForEachCombination(pool, k, [&](const std::vector<int>& combo) {
       if (internal::ShouldStop(context)) {
@@ -51,7 +48,7 @@ StatusOr<SocSolution> BruteForceSolver::SolveWithContext(
       ++enumerated;
       candidate.ResetAll();
       for (int attr : combo) candidate.Set(attr);
-      const int count = view.CountSatisfied(candidate);
+      const long long count = kernels::AccumulateWeighted(blocks, candidate);
       if (count > best_count) {
         best_count = count;
         best = candidate;
@@ -59,11 +56,11 @@ StatusOr<SocSolution> BruteForceSolver::SolveWithContext(
       return true;
     });
   }
-  if (best_count < 0) best_count = 0;  // k == 0 or stopped before any combo.
 
-  internal::PadSelection(log, tuple, m_eff, &best);
+  internal::PadSelection(log, tuple, m_eff, &best, weights);
   SocSolution solution = internal::FinishSolution(
-      log, std::move(best), /*proved_optimal=*/stop == StopReason::kNone);
+      log, std::move(best), /*proved_optimal=*/stop == StopReason::kNone,
+      weights);
   solution.metrics.emplace_back("combinations",
                                 static_cast<double>(combinations));
   solution.metrics.emplace_back("enumerated", static_cast<double>(enumerated));

@@ -28,18 +28,19 @@ struct BruteForceOptions {
   std::uint64_t max_combinations = 50'000'000;
 };
 
-class BruteForceSolver : public SocSolver {
+class BruteForceSolver : public CollapsibleSolver {
  public:
   explicit BruteForceSolver(BruteForceOptions options = {})
       : options_(options) {}
 
-  StatusOr<SocSolution> SolveWithContext(const QueryLog& log,
-                                         const DynamicBitset& tuple, int m,
-                                         SolveContext* context) const override;
-
   std::string name() const override { return "BruteForce"; }
 
  private:
+  StatusOr<SocSolution> Run(const QueryLog& log,
+                            const std::vector<int>* weights,
+                            const DynamicBitset& tuple, int m,
+                            SolveContext* context) const override;
+
   BruteForceOptions options_;
 };
 

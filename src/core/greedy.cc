@@ -10,35 +10,40 @@ namespace soc {
 namespace {
 
 // Top-m attributes of `tuple` by query-log frequency (ties: lower index).
-DynamicBitset ConsumeAttr(const QueryLog& log, const DynamicBitset& tuple,
-                          int m_eff) {
-  const std::vector<int> freq = log.AttributeFrequencies();
+DynamicBitset ConsumeAttr(const std::vector<int>& freq,
+                          const DynamicBitset& tuple, int m_eff) {
   std::vector<int> attrs = tuple.SetBits();
   std::sort(attrs.begin(), attrs.end(), [&freq](int a, int b) {
     if (freq[a] != freq[b]) return freq[a] > freq[b];
     return a < b;
   });
-  DynamicBitset selected(log.num_attributes());
+  DynamicBitset selected(tuple.size());
   for (int i = 0; i < m_eff; ++i) selected.Set(attrs[i]);
   return selected;
 }
 
-DynamicBitset ConsumeAttrCumul(const QueryLog& log, const DynamicBitset& tuple,
-                               int m_eff, SolveContext* context) {
-  const std::vector<int> freq = log.AttributeFrequencies();
+}  // namespace
+
+namespace internal {
+
+DynamicBitset ConsumeAttrCumulPicks(const QueryLog& log,
+                                    const std::vector<int>* weights,
+                                    const std::vector<int>& freq,
+                                    const DynamicBitset& tuple, int m_eff,
+                                    SolveContext* context) {
   DynamicBitset selected(log.num_attributes());
   std::vector<int> remaining = tuple.SetBits();
 
   // One blocked layout of the full log per solve (the co-occurrence
   // statistic counts every query, not just q ⊆ t). A single CoverageGain
   // scan per step then yields every candidate's joint count at once:
-  // gains[a] = #{q : selected ∪ {a} ⊆ q} — exactly the
-  // CountQueriesContainingAll value the per-candidate loop used to
-  // recompute from scratch.
+  // gains[a] = Σ multiplicity over {q : selected ∪ {a} ⊆ q}.
+  std::vector<long long> weights64;
+  if (weights != nullptr) weights64.assign(weights->begin(), weights->end());
   kernels::ScratchScope scratch;
   const kernels::CoverageBlockSet blocks(
       log.queries(), static_cast<std::size_t>(log.num_attributes()),
-      /*weights=*/nullptr, &scratch.arena());
+      weights == nullptr ? nullptr : weights64.data(), &scratch.arena());
   long long* gains = scratch.arena().AllocateWeights(
       static_cast<std::size_t>(log.num_attributes()));
 
@@ -78,6 +83,10 @@ DynamicBitset ConsumeAttrCumul(const QueryLog& log, const DynamicBitset& tuple,
   }
   return selected;
 }
+
+}  // namespace internal
+
+namespace {
 
 DynamicBitset ConsumeQueries(const QueryLog& log, const DynamicBitset& tuple,
                              int m_eff, SolveContext* context) {
@@ -123,10 +132,17 @@ const char* GreedyKindToString(GreedyKind kind) {
   return "Greedy";
 }
 
-StatusOr<SocSolution> GreedySolver::SolveWithContext(
-    const QueryLog& log, const DynamicBitset& tuple, int m,
-    SolveContext* context) const {
+StatusOr<SocSolution> GreedySolver::Run(const QueryLog& log,
+                                        const std::vector<int>* weights,
+                                        const DynamicBitset& tuple, int m,
+                                        SolveContext* context) const {
   const int m_eff = internal::EffectiveBudget(log, tuple, m);
+  // The two frequency greedies rank by it; ConsumeQueries only pads with
+  // it, so there it is computed when padding needs it.
+  std::vector<int> freq;
+  if (kind_ != GreedyKind::kConsumeQueries) {
+    freq = internal::AttributeFrequencies(log, weights);
+  }
   DynamicBitset selected(log.num_attributes());
   // Entry checkpoint: a context that is already stopped (or expires
   // immediately) skips straight to the frequency padding, which doubles as
@@ -134,19 +150,24 @@ StatusOr<SocSolution> GreedySolver::SolveWithContext(
   if (!internal::ShouldStop(context)) {
     switch (kind_) {
       case GreedyKind::kConsumeAttr:
-        selected = ConsumeAttr(log, tuple, m_eff);
+        selected = ConsumeAttr(freq, tuple, m_eff);
         break;
       case GreedyKind::kConsumeAttrCumul:
-        selected = ConsumeAttrCumul(log, tuple, m_eff, context);
+        selected = internal::ConsumeAttrCumulPicks(log, weights, freq, tuple,
+                                                   m_eff, context);
         break;
       case GreedyKind::kConsumeQueries:
         selected = ConsumeQueries(log, tuple, m_eff, context);
         break;
     }
   }
-  internal::PadSelection(log, tuple, m_eff, &selected);
-  SocSolution solution = internal::FinishSolution(log, std::move(selected),
-                                                  /*proved_optimal=*/false);
+  if (freq.empty()) {
+    internal::PadSelection(log, tuple, m_eff, &selected, weights);
+  } else {
+    internal::PadSelection(freq, tuple, m_eff, &selected);
+  }
+  SocSolution solution = internal::FinishSolution(
+      log, std::move(selected), /*proved_optimal=*/false, weights);
   if (context != nullptr && context->stop_requested()) {
     internal::MarkDegraded(context->stop_reason(), &solution);
   }

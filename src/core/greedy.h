@@ -31,21 +31,35 @@ enum class GreedyKind {
 
 const char* GreedyKindToString(GreedyKind kind);
 
-class GreedySolver : public SocSolver {
+class GreedySolver : public CollapsibleSolver {
  public:
   explicit GreedySolver(GreedyKind kind) : kind_(kind) {}
-
-  StatusOr<SocSolution> SolveWithContext(const QueryLog& log,
-                                         const DynamicBitset& tuple, int m,
-                                         SolveContext* context) const override;
 
   std::string name() const override { return GreedyKindToString(kind_); }
   GreedyKind kind() const { return kind_; }
 
  private:
+  StatusOr<SocSolution> Run(const QueryLog& log,
+                            const std::vector<int>* weights,
+                            const DynamicBitset& tuple, int m,
+                            SolveContext* context) const override;
+
   GreedyKind kind_;
 };
 
+namespace internal {
+
+// ConsumeAttrCumul's picks before padding. Query i of `log` counts
+// (*weights)[i] times, or once when `weights` is nullptr; `freq` is the
+// matching AttributeFrequencies. Ticks `context` once per 64-query block
+// and returns the partial pick when it stops.
+DynamicBitset ConsumeAttrCumulPicks(const QueryLog& log,
+                                    const std::vector<int>* weights,
+                                    const std::vector<int>& freq,
+                                    const DynamicBitset& tuple, int m_eff,
+                                    SolveContext* context);
+
+}  // namespace internal
 }  // namespace soc
 
 #endif  // SOC_CORE_GREEDY_H_

@@ -27,13 +27,25 @@ int EffectiveBudget(const QueryLog& log, const DynamicBitset& tuple, int m) {
   return std::min<int>(m, static_cast<int>(tuple.Count()));
 }
 
-void PadSelection(const QueryLog& log, const DynamicBitset& tuple,
+std::vector<int> AttributeFrequencies(const QueryLog& log,
+                                      const std::vector<int>* weights) {
+  if (weights == nullptr) return log.AttributeFrequencies();
+  SOC_CHECK_EQ(static_cast<int>(weights->size()), log.size());
+  std::vector<int> freq(log.num_attributes(), 0);
+  for (int i = 0; i < log.size(); ++i) {
+    const int weight = (*weights)[i];
+    log.query(i).ForEachSetBit(
+        [&freq, weight](int attr) { freq[attr] += weight; });
+  }
+  return freq;
+}
+
+void PadSelection(const std::vector<int>& freq, const DynamicBitset& tuple,
                   int target_size, DynamicBitset* selected) {
   SOC_CHECK(selected->IsSubsetOf(tuple));
   int have = static_cast<int>(selected->Count());
   if (have >= target_size) return;
 
-  const std::vector<int> freq = log.AttributeFrequencies();
   std::vector<int> spare;
   tuple.ForEachSetBit([&](int attr) {
     if (!selected->Test(attr)) spare.push_back(attr);
@@ -50,13 +62,45 @@ void PadSelection(const QueryLog& log, const DynamicBitset& tuple,
   SOC_CHECK_EQ(have, target_size);
 }
 
+void PadSelection(const QueryLog& log, const DynamicBitset& tuple,
+                  int target_size, DynamicBitset* selected,
+                  const std::vector<int>* weights) {
+  const bool pads = static_cast<int>(selected->Count()) < target_size;
+  PadSelection(pads ? AttributeFrequencies(log, weights) : std::vector<int>(),
+               tuple, target_size, selected);
+}
+
 SocSolution FinishSolution(const QueryLog& log, DynamicBitset selected,
-                           bool proved_optimal) {
+                           bool proved_optimal,
+                           const std::vector<int>* weights) {
   SocSolution solution;
-  solution.satisfied_queries = CountSatisfiedQueries(log, selected);
+  solution.satisfied_queries =
+      weights == nullptr ? CountSatisfiedQueries(log, selected)
+                         : CountSatisfiedWeighted(log, *weights, selected);
   solution.selected = std::move(selected);
   solution.proved_optimal = proved_optimal;
   return solution;
+}
+
+SatisfiableQueries::SatisfiableQueries(const QueryLog& log,
+                                       const std::vector<int>* multiplicities,
+                                       const DynamicBitset& tuple, int budget)
+    : attributes(log.num_attributes()) {
+  for (int i = 0; i < log.size(); ++i) {
+    const DynamicBitset& q = log.query(i);
+    if (static_cast<int>(q.Count()) <= budget && q.IsSubsetOf(tuple)) {
+      queries.push_back(q);
+      if (multiplicities != nullptr) weights.push_back((*multiplicities)[i]);
+      attributes |= q;
+    }
+  }
+}
+
+kernels::CoverageBlockSet SatisfiableQueries::Blocks(
+    kernels::Arena* arena) const {
+  return kernels::CoverageBlockSet(
+      queries, attributes.size(), weights.empty() ? nullptr : weights.data(),
+      arena);
 }
 
 void MarkDegraded(StopReason reason, SocSolution* solution) {

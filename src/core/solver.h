@@ -25,6 +25,8 @@
 //    (see IsDegraded / SolutionStopReason) instead of an error Status.
 //    Solver-local structural guards (max_combinations, node caps) degrade
 //    the same way with StopReason::kResourceLimit.
+//  * BruteForceSolver, BnbSocSolver and GreedySolver also solve a
+//    duplicate-collapsed log through the same engine (CollapsibleSolver).
 
 #ifndef SOC_CORE_SOLVER_H_
 #define SOC_CORE_SOLVER_H_
@@ -34,10 +36,12 @@
 #include <vector>
 
 #include "boolean/evaluator.h"
+#include "boolean/log_stats.h"
 #include "boolean/query_log.h"
 #include "common/bitset.h"
 #include "common/solve_context.h"
 #include "common/status.h"
+#include "kernels/coverage.h"
 
 namespace soc {
 
@@ -80,21 +84,79 @@ class SocSolver {
   virtual std::string name() const = 0;
 };
 
+// A solver whose engine reads the log only through query counts, so it
+// also solves a duplicate-collapsed log (CollapsedLog) with each query
+// counted by its multiplicity: the selection, objective and counters
+// equal those of solving the raw log.
+class CollapsibleSolver : public SocSolver {
+ public:
+  StatusOr<SocSolution> SolveWithContext(
+      const QueryLog& log, const DynamicBitset& tuple, int m,
+      SolveContext* context) const override {
+    return Run(log, /*weights=*/nullptr, tuple, m, context);
+  }
+
+  // Same options and SolveContext contract as SolveWithContext.
+  StatusOr<SocSolution> SolveCollapsed(const CollapsedLog& log,
+                                       const DynamicBitset& tuple, int m,
+                                       SolveContext* context = nullptr) const {
+    return Run(log.queries, &log.weights, tuple, m, context);
+  }
+
+ protected:
+  // The engine: query i of `log` counts (*weights)[i] times, or once when
+  // `weights` is nullptr.
+  virtual StatusOr<SocSolution> Run(const QueryLog& log,
+                                    const std::vector<int>* weights,
+                                    const DynamicBitset& tuple, int m,
+                                    SolveContext* context) const = 0;
+};
+
 namespace internal {
 
 // min(m, |t|); checks argument sanity.
 int EffectiveBudget(const QueryLog& log, const DynamicBitset& tuple, int m);
 
+// Per-attribute query-log frequency: query i counts `(*weights)[i]`
+// times, or once when `weights` is nullptr (log.AttributeFrequencies()).
+std::vector<int> AttributeFrequencies(const QueryLog& log,
+                                      const std::vector<int>* weights);
+
 // Pads `selected` (⊆ tuple) up to `target_size` attributes with further
-// attributes of `tuple`, chosen by descending query-log frequency then
-// ascending index. Callers guarantee target_size <= |tuple|.
-void PadSelection(const QueryLog& log, const DynamicBitset& tuple,
+// attributes of `tuple`, chosen by descending `freq` (per-attribute
+// query-log frequency) then ascending index. Callers guarantee
+// target_size <= |tuple|.
+void PadSelection(const std::vector<int>& freq, const DynamicBitset& tuple,
                   int target_size, DynamicBitset* selected);
 
+// The same padding, computing the frequencies of `log` (with `weights`,
+// as in AttributeFrequencies) only when there is something to pad.
+void PadSelection(const QueryLog& log, const DynamicBitset& tuple,
+                  int target_size, DynamicBitset* selected,
+                  const std::vector<int>* weights = nullptr);
+
 // Builds a SocSolution from a selection: recomputes the objective with the
-// reference evaluator and attaches the optimality flag.
+// reference evaluator (Σ multiplicity when `weights` is given) and
+// attaches the optimality flag.
 SocSolution FinishSolution(const QueryLog& log, DynamicBitset selected,
-                           bool proved_optimal);
+                           bool proved_optimal,
+                           const std::vector<int>* weights = nullptr);
+
+// The queries of `log` that a compression of `tuple` to at most `budget`
+// attributes can satisfy (q ⊆ tuple, |q| <= budget), with their
+// multiplicities (empty when the log has unit weights).
+struct SatisfiableQueries {
+  SatisfiableQueries(const QueryLog& log,
+                     const std::vector<int>* multiplicities,
+                     const DynamicBitset& tuple, int budget);
+
+  // The blocked kernel layout of `queries`, storage from `arena`.
+  kernels::CoverageBlockSet Blocks(kernels::Arena* arena) const;
+
+  std::vector<DynamicBitset> queries;
+  std::vector<long long> weights;
+  DynamicBitset attributes;  // Union of `queries` (⊆ tuple).
+};
 
 // Stamps the partial-result contract onto `solution`: clears
 // proved_optimal and appends ("degraded", 1.0) and ("stop_reason",

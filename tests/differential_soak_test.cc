@@ -1,7 +1,7 @@
 // Differential soak: a wide randomized sweep cross-checking every layer of
 // the stack against every other on shared instances. Complements the
-// per-module suites with interactions those don't cover (weighted vs
-// unweighted vs ILP on one instance, variant consistency, analysis
+// per-module suites with interactions those don't cover (collapsed vs
+// raw log vs ILP on one instance, variant consistency, analysis
 // consistency with the optimum, heuristics and the serve layer against the
 // brute-force reference).
 //
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "boolean/evaluator.h"
+#include "boolean/log_stats.h"
 #include "check/instance.h"
 #include "core/attribute_analysis.h"
 #include "core/bnb_solver.h"
@@ -21,7 +22,6 @@
 #include "core/ilp_solver.h"
 #include "core/mfi_solver.h"
 #include "core/variants.h"
-#include "core/weighted.h"
 #include "serve/visibility_service.h"
 
 namespace soc {
@@ -58,11 +58,12 @@ TEST_P(SoakTest, AllLayersAgree) {
   ASSERT_TRUE(mfi_solution.ok());
   EXPECT_EQ(mfi_solution->satisfied_queries, optimum);
 
-  // Layer 2: weighted pipeline on the same instance.
-  const WeightedSocInstance weighted = WeightedSocInstance::FromLog(log);
-  auto weighted_solution = SolveWeightedBnb(weighted, t, m);
-  ASSERT_TRUE(weighted_solution.ok());
-  EXPECT_EQ(weighted_solution->satisfied_weight, optimum);
+  // Layer 2: the duplicate-collapsed log through the same solver.
+  auto collapsed_solution = bnb.SolveCollapsed(CollapseDuplicateQueries(log),
+                                               t, m);
+  ASSERT_TRUE(collapsed_solution.ok());
+  EXPECT_EQ(collapsed_solution->satisfied_queries, optimum);
+  EXPECT_EQ(collapsed_solution->selected, bnb_solution->selected);
 
   // Layer 3: the domination adapter run with the log's queries as a
   // database must agree (the two objectives coincide by construction).

@@ -73,26 +73,12 @@ TEST(SatisfiableQueryViewTest, FiltersUnwinnableQueries) {
   EXPECT_EQ(view.original_index(3), 3);
 }
 
-TEST(SatisfiableQueryViewTest, CountMatchesFullEvaluator) {
-  QueryLog log = testdata::PaperQueryLog();
-  DynamicBitset t = testdata::PaperNewTuple();
-  SatisfiableQueryView view(log, t);
-  // For candidates t' ⊆ t the view count equals the full count.
-  DynamicBitset candidate = DynamicBitset::FromString("110100");
-  EXPECT_EQ(view.CountSatisfied(candidate),
-            CountSatisfiedQueries(log, candidate));
-  DynamicBitset candidate2 = DynamicBitset::FromString("000101");
-  EXPECT_EQ(view.CountSatisfied(candidate2),
-            CountSatisfiedQueries(log, candidate2));
-}
-
 TEST(SatisfiableQueryViewTest, EmptyLog) {
   QueryLog log(AttributeSchema::Anonymous(3));
   DynamicBitset t(3);
   t.SetAll();
   SatisfiableQueryView view(log, t);
   EXPECT_EQ(view.size(), 0);
-  EXPECT_EQ(view.CountSatisfied(t), 0);
 }
 
 }  // namespace

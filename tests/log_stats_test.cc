@@ -68,11 +68,10 @@ TEST(LogStatsTest, CollapseDuplicatesPreservesTotals) {
   log.AddQueryFromIndices({1, 2});
   log.AddQueryFromIndices({0});
   log.AddQueryFromIndices({0});
-  std::vector<int> weights;
-  const QueryLog deduped = CollapseDuplicateQueries(log, &weights);
-  ASSERT_EQ(deduped.size(), 2);
-  EXPECT_EQ(weights, (std::vector<int>{3, 1}));
-  EXPECT_EQ(deduped.query(0).SetBits(), (std::vector<int>{0}));
+  const CollapsedLog collapsed = CollapseDuplicateQueries(log);
+  ASSERT_EQ(collapsed.queries.size(), 2);
+  EXPECT_EQ(collapsed.weights, (std::vector<int>{3, 1}));
+  EXPECT_EQ(collapsed.queries.query(0).SetBits(), (std::vector<int>{0}));
 }
 
 TEST(LogStatsTest, WeightedCountMatchesPlainCount) {
@@ -81,15 +80,16 @@ TEST(LogStatsTest, WeightedCountMatchesPlainCount) {
   datagen::SyntheticWorkloadOptions wl;
   wl.num_queries = 200;
   const QueryLog log = datagen::MakeSyntheticWorkload(schema, wl);
-  std::vector<int> weights;
-  const QueryLog deduped = CollapseDuplicateQueries(log, &weights);
-  EXPECT_LT(deduped.size(), log.size());  // Duplicates exist at this size.
+  const CollapsedLog collapsed = CollapseDuplicateQueries(log);
+  // Duplicates exist at this size.
+  EXPECT_LT(collapsed.queries.size(), log.size());
   for (int trial = 0; trial < 20; ++trial) {
     DynamicBitset tuple(10);
     for (int a = 0; a < 10; ++a) {
       if (rng.NextBernoulli(0.5)) tuple.Set(a);
     }
-    EXPECT_EQ(CountSatisfiedWeighted(deduped, weights, tuple),
+    EXPECT_EQ(CountSatisfiedWeighted(collapsed.queries, collapsed.weights,
+                                     tuple),
               CountSatisfiedQueries(log, tuple));
   }
 }
