@@ -14,6 +14,18 @@
 // fields (queue_ms, solve_ms, total_ms, predicted_ms, retry_after_ms,
 // ts_ms) are zeroed before encoding.
 //
+// A third corpus, the overload corpus, pins the paths where a request does
+// not run the solver it named: queue_full and predicted_deadline_miss
+// sheds at Submit, an expired request rejected under reject_expired or
+// rerouted to Fallback at pickup, a degradation-ladder downgrade and a
+// circuit-breaker reroute, plus a predicted shed made against the
+// service's default deadline. Each scenario runs on a fresh one-worker,
+// one-shard service whose worker_hook holds the worker on the first
+// request while the rest of the scenario is sent, so queue occupancy and
+// the cost model's backlog are the same on every run. The service's
+// cost model still runs on its priors while the held request is
+// outstanding, so the shed decisions and their messages are exact.
+//
 // On a mismatch the actual output is written next to the test binary as
 // <golden name>.actual; after an intentional change, review the diff and
 // copy that file over tests/golden/<golden name>.
@@ -21,14 +33,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json_writer.h"
+#include "common/logging.h"
 #include "core/solver_registry.h"
 #include "datagen/workload.h"
 #include "obs/event_log.h"
@@ -99,21 +117,18 @@ std::vector<serve::SolveRequest> MakeCorpus(int width, bool sharded) {
   return corpus;
 }
 
-// Sends the corpus one request at a time through `submit`, then renders
-// responses, drained wide events (sorted by id) and the counter map.
-template <typename Service>
-std::string Replay(Service& service, obs::EventLog& events,
-                   const std::vector<serve::SolveRequest>& corpus) {
-  std::ostringstream out;
-  for (const serve::SolveRequest& request : corpus) {
-    serve::SolveResponse response = service.Submit(request).get();
-    response.queue_ms = 0;
-    response.solve_ms = 0;
-    response.retry_after_ms = 0;
-    out << serve::ResponseToJson(response).ToString() << "\n";
-  }
-  service.Drain();
+std::string RenderResponse(serve::SolveResponse response) {
+  response.queue_ms = 0;
+  response.solve_ms = 0;
+  response.retry_after_ms = 0;
+  return serve::ResponseToJson(response).ToString() + "\n";
+}
 
+// Drained wide events (sorted by id, timing fields zeroed), then the
+// counter map.
+std::string RenderEventsAndCounters(obs::EventLog& events,
+                                    const serve::MetricsSnapshot& metrics) {
+  std::ostringstream out;
   std::vector<obs::WideEvent> drained;
   events.Drain(&drained);
   std::stable_sort(drained.begin(), drained.end(),
@@ -131,12 +146,25 @@ std::string Replay(Service& service, obs::EventLog& events,
   }
 
   JsonValue counters = JsonValue::Object();
-  for (const auto& [name, value] : service.Metrics().counters) {
+  for (const auto& [name, value] : metrics.counters) {
     counters.Set(name, JsonValue::Int(value));
   }
   out << JsonValue::Object().Set("counters", std::move(counters)).ToString()
       << "\n";
   return out.str();
+}
+
+// Sends the corpus one request at a time through `submit`, then renders
+// responses, drained wide events (sorted by id) and the counter map.
+template <typename Service>
+std::string Replay(Service& service, obs::EventLog& events,
+                   const std::vector<serve::SolveRequest>& corpus) {
+  std::string out;
+  for (const serve::SolveRequest& request : corpus) {
+    out += RenderResponse(service.Submit(request).get());
+  }
+  service.Drain();
+  return out + RenderEventsAndCounters(events, service.Metrics());
 }
 
 std::string ReadFile(const std::string& path) {
@@ -199,6 +227,208 @@ TEST(ServeReplayTest, ShardedMatchesGolden) {
   const std::string actual =
       Replay(service, events, MakeCorpus(log.num_attributes(), true));
   ExpectMatchesGolden(actual, "serve_replay_sharded.jsonl");
+}
+
+// Holds the worker on the first request that reaches the solver, until
+// Open(); every later request passes straight through.
+class WorkerGate {
+ public:
+  Status Enter() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++entered_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_ || entered_ > 1; });
+    return Status::OK();
+  }
+  void WaitHeld() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return entered_ > 0; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool open_ = false;
+};
+
+// One overload scenario: a fresh one-shard service built from `options`
+// (one worker, events on), whose first request is held in the worker
+// while the others are sent in order. With `expire_before_release`, the
+// held worker is released only after every deadline in the scenario has
+// passed.
+struct OverloadScenario {
+  std::string name;
+  tenant::TenantShardOptions options;
+  std::vector<serve::SolveRequest> requests;
+  bool expire_before_release = false;
+  // Optional fault injection, consulted after the gate.
+  std::function<Status(const serve::WorkerHookContext&)> fault;
+};
+
+std::string RunOverloadScenario(const QueryLog& log,
+                                OverloadScenario scenario) {
+  obs::EventLog events;
+  events.set_enabled(true);
+  WorkerGate gate;
+  tenant::ShardedServiceOptions options;
+  options.num_shards = 1;
+  options.shard = scenario.options;
+  options.shard.num_workers = 1;
+  options.shard.event_log = &events;
+  // Solves here take well under a millisecond; the watchdog must never
+  // race them.
+  options.shard.watchdog.min_wall_ms = 600000;
+  const auto fault = scenario.fault;
+  options.shard.worker_hook = [&gate,
+                               fault](const serve::WorkerHookContext& hook) {
+    Status status = gate.Enter();
+    if (status.ok() && fault) status = fault(hook);
+    return status;
+  };
+  tenant::ShardedService service(options);
+  SOC_CHECK(service.CreateTenant(kTenant, log).ok());
+
+  std::vector<std::future<serve::SolveResponse>> futures;
+  for (std::size_t i = 0; i < scenario.requests.size(); ++i) {
+    futures.push_back(service.Submit(scenario.requests[i]));
+    if (i == 0) gate.WaitHeld();
+  }
+  if (scenario.expire_before_release) {
+    double longest_ms = 0;
+    for (const serve::SolveRequest& request : scenario.requests) {
+      longest_ms = std::max(longest_ms, request.deadline_ms);
+    }
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(static_cast<int>(longest_ms) + 20));
+  }
+  gate.Open();
+
+  std::string out = JsonValue::Object()
+                        .Set("scenario", JsonValue::String(scenario.name))
+                        .ToString() +
+                    "\n";
+  for (auto& future : futures) out += RenderResponse(future.get());
+  service.Drain();
+  return out + RenderEventsAndCounters(events, service.Metrics());
+}
+
+serve::SolveRequest OverloadRequest(const std::string& id, unsigned bits,
+                                    int m, const std::string& solver,
+                                    double deadline_ms) {
+  serve::SolveRequest request;
+  request.id = id;
+  request.tuple = MakeTuple(12, bits);
+  request.m = m;
+  request.solver = solver;
+  request.deadline_ms = deadline_ms;
+  request.tenant_id = kTenant;
+  return request;
+}
+
+// The held request in every scenario is a BruteForce solve at m=4, whose
+// prior prediction (about 1.3 ms on this log) is the whole backlog while
+// it is held: a later request with a 0.5 ms deadline is predicted to
+// miss it, one with a 5 ms deadline is admitted.
+std::vector<OverloadScenario> MakeOverloadScenarios() {
+  std::vector<OverloadScenario> scenarios;
+  const auto held = [](const std::string& id) {
+    return OverloadRequest(id, 0xEDBu, 4, "BruteForce", 0);
+  };
+
+  // Degrade mode, max_queue 4. The deadline-bearing request is the EDF
+  // head after the release, so it is picked up first, at occupancy 3/4:
+  // it is late (rerouted to Fallback) and its pickup lifts the ladder
+  // (EWMA alpha 1, so each sample is the smoothed value) to level 1. The
+  // next pickup, at occupancy 2/4, keeps level 1 and downgrades its exact
+  // solver; the one after, at 1/4, drops the ladder back to level 0.
+  {
+    OverloadScenario scenario;
+    scenario.name = "degrade";
+    scenario.options.max_queue = 4;
+    scenario.options.ladder.ewma_alpha = 1.0;
+    scenario.expire_before_release = true;
+    scenario.requests = {
+        held("d000"),
+        OverloadRequest("d001", 0xFFFu, 3, "BranchAndBound", 0.5),
+        OverloadRequest("d002", 0xFFFu, 2, "BranchAndBound", 5),
+        OverloadRequest("d003", 0xEDBu, 3, "BruteForce", 0),
+        OverloadRequest("d004", 0xEDBu, 2, "ILP", 0),
+        OverloadRequest("d005", 0xFFFu, 4, "ConsumeAttr", 0),
+        OverloadRequest("d006", 0xEDBu, 2, "ConsumeQueries", 0),
+    };
+    scenarios.push_back(std::move(scenario));
+  }
+
+  // reject_expired: the whole predicted completion (wait + solve) must
+  // fit the deadline, and a request already expired at pickup is shed.
+  {
+    OverloadScenario scenario;
+    scenario.name = "reject_expired";
+    scenario.options.reject_expired = true;
+    scenario.expire_before_release = true;
+    scenario.requests = {
+        held("x000"),
+        OverloadRequest("x001", 0xFFFu, 3, "BranchAndBound", 0.5),
+        OverloadRequest("x002", 0xFFFu, 2, "ConsumeAttrCumul", 5),
+        OverloadRequest("x003", 0xEDBu, 2, "Fallback", 0),
+    };
+    scenarios.push_back(std::move(scenario));
+  }
+
+  // Breaker: BranchAndBound fails failure_threshold (2) times in a row,
+  // tripping its breaker; the third BranchAndBound request is rerouted to
+  // Fallback without touching the tier.
+  {
+    OverloadScenario scenario;
+    scenario.name = "breaker";
+    scenario.options.breaker.failure_threshold = 2;
+    scenario.options.breaker.open_ms = 600000;  // Stays open throughout.
+    scenario.fault = [](const serve::WorkerHookContext& hook) {
+      if (hook.solver == "BranchAndBound") {
+        return InternalError("injected BranchAndBound fault");
+      }
+      return Status::OK();
+    };
+    scenario.requests = {
+        held("b000"),
+        OverloadRequest("b001", 0xEDBu, 2, "BranchAndBound", 0),
+        OverloadRequest("b002", 0xEDBu, 3, "BranchAndBound", 0),
+        OverloadRequest("b003", 0xFFFu, 3, "BranchAndBound", 0),
+        OverloadRequest("b004", 0xFFFu, 2, "ConsumeAttr", 0),
+    };
+    scenarios.push_back(std::move(scenario));
+  }
+
+  // A default deadline: the request without a deadline_ms of its own is
+  // judged against the service's 0.5 ms default and shed.
+  {
+    OverloadScenario scenario;
+    scenario.name = "default_deadline";
+    scenario.options.default_deadline_ms = 0.5;
+    serve::SolveRequest first = held("z000");
+    first.deadline_ms = 600000;  // Explicit, so the default cannot expire it.
+    scenario.requests = {
+        std::move(first),
+        OverloadRequest("z001", 0xFFFu, 3, "BranchAndBound", 0),
+    };
+    scenarios.push_back(std::move(scenario));
+  }
+  return scenarios;
+}
+
+TEST(ServeReplayTest, OverloadMatchesGolden) {
+  const QueryLog log = MakeLog();
+  std::string actual;
+  for (OverloadScenario& scenario : MakeOverloadScenarios()) {
+    actual += RunOverloadScenario(log, std::move(scenario));
+  }
+  ExpectMatchesGolden(actual, "serve_replay_overload.jsonl");
 }
 
 }  // namespace
