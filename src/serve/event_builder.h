@@ -78,8 +78,8 @@ inline obs::WideEvent BuildWideEvent(const SolveRequest& request,
   event.degraded = response.degraded;
   event.fast_path = response.fast_path;
   event.cache_hit = response.cache_hit;
-  event.breaker_rerouted = response.breaker_rerouted;
-  event.ladder_downgraded = response.ladder_downgraded;
+  event.breaker_rerouted = response.route == Route::kBreaker;
+  event.ladder_downgraded = response.route == Route::kLadder;
   if (response.status.ok()) {
     event.satisfied = response.solution.satisfied_queries;
   }

@@ -38,6 +38,47 @@ inline constexpr char kShedReasonPredicted[] = "predicted_deadline_miss";
 inline constexpr char kShedReasonExpired[] = "deadline_expired";
 inline constexpr char kShedReasonShutdown[] = "shutdown";
 
+// How the pipeline resolved one request, decided once, where the
+// decision is made. Every counter, latency sample, SLO outcome, trace
+// instant and wide event of the request is derived from it
+// (TenantShard::RecordOutcome).
+enum class Disposition {
+  kInvalid,          // Malformed request: tenant, width, m, deadline, solver.
+  kUnknownTenant,    // Non-empty tenant id that resolved to no snapshot.
+  kQueueFull,        // Shed at Submit: max_queue requests already queued.
+  kPredictedShed,    // Shed at Submit: the deadline is predicted to miss.
+  kShutdown,         // Refused: the pool shut down under the Submit.
+  kExpiredRejected,  // Expired at pickup under reject_expired.
+  kCacheHit,         // Answered from the result cache.
+  kFastPath,         // Provably zero-visible: answered without a solver.
+  kSolved,           // A solver ran (see SolveResponse::route).
+};
+
+// The shed_reason a disposition carries on its kOverloaded response;
+// nullptr for dispositions that are not sheds.
+constexpr const char* ShedReason(Disposition disposition) {
+  switch (disposition) {
+    case Disposition::kQueueFull:
+      return kShedReasonQueueFull;
+    case Disposition::kPredictedShed:
+      return kShedReasonPredicted;
+    case Disposition::kShutdown:
+      return kShedReasonShutdown;
+    case Disposition::kExpiredRejected:
+      return kShedReasonExpired;
+    default:
+      return nullptr;
+  }
+}
+
+// Why a solved request ran the solver it ran.
+enum class Route {
+  kAsRequested,
+  kLateFallback,  // Expired at pickup: degraded through Fallback.
+  kLadder,        // The degradation ladder lowered its exact tier.
+  kBreaker,       // Its tier's breaker was open: rerouted to Fallback.
+};
+
 struct SolveResponse {
   std::string id;
   std::string solver;      // Solver that actually ran (may be downgraded).
@@ -60,11 +101,9 @@ struct SolveResponse {
   std::string tenant_id;
   std::int64_t epoch = 0;
   bool cache_hit = false;
-  // Observability-only outcome bits (wide-event log; never on the wire
-  // protocol): whether a tripped breaker or the degradation ladder
-  // changed the solver this request ran on.
-  bool breaker_rerouted = false;
-  bool ladder_downgraded = false;
+  // Observability only (wide-event log; never on the wire protocol): why
+  // `solver` ran, when a solver ran.
+  Route route = Route::kAsRequested;
 };
 
 // Chaos/test injection point, invoked on the worker thread after the

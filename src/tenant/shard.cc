@@ -1,6 +1,8 @@
 #include "tenant/shard.h"
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,6 +32,23 @@ constexpr char kBreakerRerouted[] = "breaker_rerouted";
 constexpr char kLadderDowngraded[] = "ladder_downgraded";
 constexpr char kUnknownTenant[] = "rejected_unknown_tenant";
 constexpr char kCacheHits[] = "cache_hits";
+
+// The response of a request resolved without reaching a solver.
+serve::SolveResponse RejectResponse(const serve::SolveRequest& request,
+                                    Status status,
+                                    serve::Disposition disposition,
+                                    double retry_after_ms) {
+  serve::SolveResponse response;
+  response.id = request.id;
+  response.solver = request.solver;
+  response.tenant_id = request.tenant_id;
+  response.status = std::move(status);
+  if (const char* reason = serve::ShedReason(disposition)) {
+    response.shed_reason = reason;
+  }
+  response.retry_after_ms = retry_after_ms;
+  return response;
+}
 
 }  // namespace
 
@@ -97,79 +116,74 @@ std::future<serve::SolveResponse> TenantShard::Submit(
     admission.AddArg(obs::TraceArg::Str("id", request.id));
     admission.AddArg(obs::TraceArg::Str("tenant", request.tenant_id));
   }
+  // Counted here, not at resolution: live readers of the metrics page
+  // compare them against the resolutions mid-run.
   metrics_.Increment(kSubmitted);
   IncrementTenant(request.tenant_id, kSubmitted);
   if (request.solver.empty()) request.solver = "Fallback";
 
   auto queued = std::make_shared<QueuedRequest>();
   std::future<serve::SolveResponse> future = queued->promise.get_future();
+  queued->effective_deadline_ms = request.deadline_ms;
+  queued->request = std::move(request);
+  queued->snapshot = std::move(snapshot);
+  const serve::SolveRequest& req = queued->request;
 
-  const auto reject = [&](Status status, const char* shed_reason = nullptr,
+  const auto reject = [&](serve::Disposition disposition, Status status,
                           double retry_after_ms = 0) {
-    serve::SolveResponse response;
-    response.id = request.id;
-    response.solver = request.solver;
-    response.tenant_id = request.tenant_id;
-    response.status = std::move(status);
-    if (shed_reason != nullptr) response.shed_reason = shed_reason;
-    response.retry_after_ms = retry_after_ms;
-    RecordOutcome(request, response,
-                  snapshot != nullptr ? snapshot->features()
-                                      : serve::CostFeatures{},
-                  request.deadline_ms, 0);
-    queued->promise.set_value(std::move(response));
+    Resolve(*queued, disposition, RejectResponse(req, std::move(status),
+                                                 disposition, retry_after_ms));
     return std::move(future);
   };
 
   // Validation tier: malformed requests never reach the queue. The
   // tenant comes first — width is defined by the tenant's snapshot.
-  if (snapshot == nullptr) {
-    metrics_.Increment(kRejectedInvalid);
-    if (request.tenant_id.empty()) {
-      return reject(InvalidArgumentError(
-          "tenant_id is required on the sharded service"));
+  if (queued->snapshot == nullptr) {
+    if (req.tenant_id.empty()) {
+      return reject(serve::Disposition::kInvalid,
+                    InvalidArgumentError(
+                        "tenant_id is required on the sharded service"));
     }
-    metrics_.Increment(kUnknownTenant);
-    return reject(
-        NotFoundError("unknown tenant '" + request.tenant_id + "'"));
+    return reject(serve::Disposition::kUnknownTenant,
+                  NotFoundError("unknown tenant '" + req.tenant_id + "'"));
   }
-  const QueryLog& log = snapshot->log();
-  if (static_cast<int>(request.tuple.size()) != log.num_attributes()) {
-    metrics_.Increment(kRejectedInvalid);
+  const TenantSnapshot& pinned = *queued->snapshot;
+  const QueryLog& log = pinned.log();
+  if (static_cast<int>(req.tuple.size()) != log.num_attributes()) {
     const std::string width = std::to_string(log.num_attributes());
-    return reject(InvalidArgumentError(
-        "tuple width " + std::to_string(request.tuple.size()) + " != " +
-        (request.tenant_id.empty()
-             ? "log attribute count " + width
-             : "tenant '" + request.tenant_id + "' attribute count " +
-                   width + " (epoch " + std::to_string(snapshot->epoch()) +
-                   ")")));
+    return reject(
+        serve::Disposition::kInvalid,
+        InvalidArgumentError(
+            "tuple width " + std::to_string(req.tuple.size()) + " != " +
+            (req.tenant_id.empty()
+                 ? "log attribute count " + width
+                 : "tenant '" + req.tenant_id + "' attribute count " + width +
+                       " (epoch " + std::to_string(pinned.epoch()) + ")")));
   }
-  if (request.m < 0) {
-    metrics_.Increment(kRejectedInvalid);
-    return reject(InvalidArgumentError("m must be nonnegative"));
+  if (req.m < 0) {
+    return reject(serve::Disposition::kInvalid,
+                  InvalidArgumentError("m must be nonnegative"));
   }
-  if (request.deadline_ms < 0) {
-    metrics_.Increment(kRejectedInvalid);
-    return reject(InvalidArgumentError("deadline_ms must be nonnegative"));
+  if (req.deadline_ms < 0) {
+    return reject(serve::Disposition::kInvalid,
+                  InvalidArgumentError("deadline_ms must be nonnegative"));
   }
-  if (solvers_.find(request.solver) == solvers_.end()) {
-    metrics_.Increment(kRejectedInvalid);
-    return reject(NotFoundError("unknown solver '" + request.solver +
+  if (solvers_.find(req.solver) == solvers_.end()) {
+    return reject(serve::Disposition::kInvalid,
+                  NotFoundError("unknown solver '" + req.solver +
                                 "'; valid: " +
                                 Join(RegisteredSolverNames(), ", ")));
   }
 
   // Admission tier: bound the queue, never a worker's time.
   if (options_.max_queue > 0 && QueueSize() >= options_.max_queue) {
-    metrics_.Increment(kRejectedQueueFull);
-    return reject(
-        OverloadedError("request queue full (" +
-                        std::to_string(options_.max_queue) + ")"),
-        serve::kShedReasonQueueFull, cost_model_.RetryAfterMs());
+    return reject(serve::Disposition::kQueueFull,
+                  OverloadedError("request queue full (" +
+                                  std::to_string(options_.max_queue) + ")"),
+                  cost_model_.RetryAfterMs());
   }
 
-  double deadline_ms = request.deadline_ms;
+  double deadline_ms = req.deadline_ms;
   if (deadline_ms == 0) deadline_ms = options_.default_deadline_ms;
 
   // Cost-aware admission: shed now if the prediction says the deadline
@@ -178,32 +192,20 @@ std::future<serve::SolveResponse> TenantShard::Submit(
   // degrade mode only the queue wait must (a request reaching a worker
   // before expiry still gets its Fallback answer, so only a wait that
   // alone blows the deadline makes queueing pointless).
-  const double predicted_solve_ms = cost_model_.PredictSolveMs(
-      snapshot->features(), request.solver, request.m);
+  const double predicted_solve_ms =
+      cost_model_.PredictSolveMs(pinned.features(), req.solver, req.m);
   if (options_.predictive_shedding && deadline_ms > 0) {
     const double predicted_wait_ms = cost_model_.PredictedQueueWaitMs();
     const double predicted_ms = options_.reject_expired
                                     ? predicted_wait_ms + predicted_solve_ms
                                     : predicted_wait_ms;
     if (predicted_ms > deadline_ms) {
-      metrics_.Increment(kShedPredicted);
-      const double retry_after_ms = cost_model_.RetryAfterMs();
-      if (options_.trace_recorder != nullptr &&
-          options_.trace_recorder->enabled()) {
-        options_.trace_recorder->RecordInstant(
-            "shed", "serve",
-            {obs::TraceArg::Str("id", request.id),
-             obs::TraceArg::Str("tenant", request.tenant_id),
-             obs::TraceArg::Str("reason", serve::kShedReasonPredicted),
-             obs::TraceArg::Num("predicted_ms", predicted_ms),
-             obs::TraceArg::Num("deadline_ms", deadline_ms),
-             obs::TraceArg::Num("retry_after_ms", retry_after_ms)});
-      }
-      return reject(OverloadedError(
-                        "predicted completion " + std::to_string(predicted_ms) +
-                        "ms exceeds deadline " + std::to_string(deadline_ms) +
-                        "ms"),
-                    serve::kShedReasonPredicted, retry_after_ms);
+      return reject(serve::Disposition::kPredictedShed,
+                    OverloadedError("predicted completion " +
+                                    std::to_string(predicted_ms) +
+                                    "ms exceeds deadline " +
+                                    std::to_string(deadline_ms) + "ms"),
+                    cost_model_.RetryAfterMs());
     }
   }
 
@@ -212,8 +214,6 @@ std::future<serve::SolveResponse> TenantShard::Submit(
   }
   queued->effective_deadline_ms = deadline_ms;
   queued->predicted_ms = predicted_solve_ms;
-  queued->snapshot = std::move(snapshot);
-  queued->request = std::move(request);
   if (options_.trace_recorder != nullptr &&
       options_.trace_recorder->enabled()) {
     queued->submit_ns = options_.trace_recorder->NowNanos();
@@ -225,7 +225,7 @@ std::future<serve::SolveResponse> TenantShard::Submit(
     ++inflight_;
   }
   metrics_.Increment(kAccepted);
-  IncrementTenant(queued->request.tenant_id, kAccepted);
+  IncrementTenant(req.tenant_id, kAccepted);
   {
     MutexLock lock(queue_mutex_);
     edf_queue_.Push(queued->deadline, queued);
@@ -242,18 +242,11 @@ std::future<serve::SolveResponse> TenantShard::Submit(
       edf_queue_.Pop(&victim);
     }
     if (victim != nullptr) {
-      metrics_.Increment(kRejectedShutdown);
-      IncrementTenant(victim->request.tenant_id, kRejectedShutdown);
       cost_model_.Settle(victim->predicted_ms);
-      serve::SolveResponse response;
-      response.id = victim->request.id;
-      response.solver = victim->request.solver;
-      response.tenant_id = victim->request.tenant_id;
-      response.status = OverloadedError("service shutting down");
-      response.shed_reason = serve::kShedReasonShutdown;
-      RecordOutcome(victim->request, response, victim->snapshot->features(),
-                    victim->effective_deadline_ms, victim->predicted_ms);
-      victim->promise.set_value(std::move(response));
+      Resolve(*victim, serve::Disposition::kShutdown,
+              RejectResponse(victim->request,
+                             OverloadedError("service shutting down"),
+                             serve::Disposition::kShutdown, 0));
       {
         MutexLock lock(inflight_mutex_);
         --inflight_;
@@ -262,6 +255,13 @@ std::future<serve::SolveResponse> TenantShard::Submit(
     }
   }
   return future;
+}
+
+void TenantShard::Resolve(QueuedRequest& queued,
+                          serve::Disposition disposition,
+                          serve::SolveResponse response) {
+  RecordOutcome(queued, disposition, response);
+  queued.promise.set_value(std::move(response));
 }
 
 void TenantShard::Drain() {
@@ -284,15 +284,39 @@ void TenantShard::RunOne() {
                               ? static_cast<double>(options_.max_queue)
                               : static_cast<double>(pool_.num_threads());
   ladder_.Observe(static_cast<double>(QueueSize()) / capacity);
-  serve::SolveResponse response = Execute(*queued);
-  Finish(std::move(queued), std::move(response));
+  serve::SolveResponse response;
+  const serve::Disposition disposition = Execute(*queued, &response);
+  Finish(std::move(queued), disposition, std::move(response));
 }
 
-serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
+std::pair<std::string, serve::Route> TenantShard::ChooseSolver(
+    const std::string& requested, bool expired) {
+  // Late at pickup: never start the requested (possibly exact) solver;
+  // the expired context stops Fallback's exact tier on its first
+  // checkpoint and the greedy tier answers.
+  if (expired) return {"Fallback", serve::Route::kLateFallback};
+  // Sustained queue pressure lowers the effective solver tier before the
+  // breaker is even consulted.
+  const std::string laddered =
+      serve::DegradationLadder::ApplyLevel(ladder_.level(), requested);
+  if (laddered != requested) return {laddered, serve::Route::kLadder};
+  // Per-solver breaker: a tripped tier reroutes to Fallback instead of
+  // running; half-open admits this request as the recovery probe.
+  if (requested != "Fallback") {
+    serve::CircuitBreaker* breaker = breakers_.Get(requested);
+    if (breaker != nullptr && !breaker->Allow()) {
+      return {"Fallback", serve::Route::kBreaker};
+    }
+  }
+  return {requested, serve::Route::kAsRequested};
+}
+
+serve::Disposition TenantShard::Execute(QueuedRequest& queued,
+                                        serve::SolveResponse* out) {
   const serve::SolveRequest& request = queued.request;
   const TenantSnapshot& snapshot = *queued.snapshot;
   const QueryLog& log = snapshot.log();
-  serve::SolveResponse response;
+  serve::SolveResponse& response = *out;
   response.id = request.id;
   response.solver = request.solver;
   response.tenant_id = request.tenant_id;
@@ -312,18 +336,15 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
 
   const auto settle = [&] { cost_model_.Settle(queued.predicted_ms); };
 
-  // Late at pickup: never start the requested (possibly exact) solver.
   const bool expired = queued.deadline.Expired();
   if (expired && options_.reject_expired) {
-    metrics_.Increment(kRejectedExpired);
-    IncrementTenant(request.tenant_id, kRejectedExpired);
     response.status =
         OverloadedError("deadline expired before a worker was available");
     response.shed_reason = serve::kShedReasonExpired;
     response.retry_after_ms = cost_model_.RetryAfterMs();
     response.solve_ms = solve_timer.ElapsedMillis();
     settle();
-    return response;
+    return serve::Disposition::kExpiredRejected;
   }
 
   // Result cache: key on the pinned epoch, so a PublishEpoch between
@@ -350,18 +371,9 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
       response.solution = cached->solution;
       response.solver = cached->solver;
       response.cache_hit = true;
-      metrics_.Increment(kCompleted);
-      IncrementTenant(request.tenant_id, kCompleted);
-      IncrementTenant(request.tenant_id, kCacheHits);
-      if (tracing) {
-        recorder->RecordInstant(
-            "cache_hit", "tenant",
-            {obs::TraceArg::Str("tenant", request.tenant_id),
-             obs::TraceArg::Int("epoch", snapshot.epoch())});
-      }
       response.solve_ms = solve_timer.ElapsedMillis();
       settle();
-      return response;
+      return serve::Disposition::kCacheHit;
     }
   }
   // Leader (or solo when the wait timed out / contention, or no cache):
@@ -373,17 +385,8 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
     }
   };
 
-  SolveContext context(queued.deadline);
-  obs::TracingPhaseListener listener(tracing ? recorder : nullptr, "solve");
-  context.set_phase_listener(&listener);
-  std::string solver_name = request.solver;
-  if (expired) {
-    // Degrade through the portfolio: the expired context stops the exact
-    // tier on its first checkpoint and the greedy tier answers.
-    solver_name = "Fallback";
-    metrics_.Increment(kLateFallback);
-  } else if (snapshot.preprocessing().MaxSatisfiable(request.tuple,
-                                                     request.m) == 0) {
+  if (!expired &&
+      snapshot.preprocessing().MaxSatisfiable(request.tuple, request.m) == 0) {
     // Provably zero-visible: answer from the index without a solver.
     const int m_eff =
         internal::EffectiveBudget(log, request.tuple, request.m);
@@ -392,10 +395,6 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
     response.solution = internal::FinishSolution(log, std::move(selected),
                                                  /*proved_optimal=*/true);
     response.fast_path = true;
-    metrics_.Increment(kFastPathZero);
-    metrics_.Increment(kCompleted);
-    IncrementTenant(request.tenant_id, kCompleted);
-    metrics_.Increment("solver.none.completed");
     response.solve_ms = solve_timer.ElapsedMillis();
     // The fast-path answer is exact: publish it so the next identical
     // request doesn't even pay the bitmap scan.
@@ -404,31 +403,16 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
                              CachedResult{response.solution, "none"});
     }
     settle();
-    return response;
+    return serve::Disposition::kFastPath;
   }
 
-  // Sustained queue pressure lowers the effective solver tier before the
-  // breaker is even consulted.
-  const std::string laddered =
-      serve::DegradationLadder::ApplyLevel(ladder_.level(), solver_name);
-  if (laddered != solver_name) {
-    metrics_.Increment(kLadderDowngraded);
-    response.ladder_downgraded = true;
-    solver_name = laddered;
-  }
-
-  // Per-solver breaker: a tripped tier reroutes to Fallback instead of
-  // running; half-open admits this request as the recovery probe.
-  if (solver_name != "Fallback") {
-    serve::CircuitBreaker* breaker = breakers_.Get(solver_name);
-    if (breaker != nullptr && !breaker->Allow()) {
-      metrics_.Increment(kBreakerRerouted);
-      response.breaker_rerouted = true;
-      solver_name = "Fallback";
-    }
-  }
+  std::string solver_name;
+  std::tie(solver_name, response.route) = ChooseSolver(request.solver, expired);
 
   // Watchdog: a hard wall budget backstops the cooperative deadline.
+  SolveContext context(queued.deadline);
+  obs::TracingPhaseListener listener(tracing ? recorder : nullptr, "solve");
+  context.set_phase_listener(&listener);
   std::shared_ptr<serve::Watchdog::Ticket> ticket;
   const double wall_ms = watchdog_.WallBudgetMs(queued.effective_deadline_ms);
   if (wall_ms > 0) {
@@ -475,22 +459,14 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
 
   if (!solution.ok()) {
     response.status = solution.status();
-    metrics_.Increment(kSolveErrors);
-    IncrementTenant(request.tenant_id, kSolveErrors);
-    metrics_.Increment("solver." + solver_name + ".errors");
     if (ran_breaker != nullptr) ran_breaker->RecordFailure();
     abandon_if_leader();
-    return response;
+    return serve::Disposition::kSolved;
   }
   response.solution = std::move(solution).value();
   response.degraded = IsDegraded(response.solution);
   response.stop_reason = SolutionStopReason(response.solution);
-  metrics_.Increment(kCompleted);
-  IncrementTenant(request.tenant_id, kCompleted);
-  metrics_.Increment("solver." + solver_name + ".completed");
   if (response.degraded) {
-    metrics_.Increment(kDegraded);
-    metrics_.Increment("solver." + solver_name + ".degraded");
     // Partial answers are deadline artifacts, never cacheable.
     abandon_if_leader();
   } else if (flight != nullptr) {
@@ -506,10 +482,11 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
       ran_breaker->RecordSuccess();
     }
   }
-  return response;
+  return serve::Disposition::kSolved;
 }
 
 void TenantShard::Finish(std::shared_ptr<QueuedRequest> queued,
+                         serve::Disposition disposition,
                          serve::SolveResponse response) {
   obs::TraceRecorder* const recorder = options_.trace_recorder;
   const bool tracing =
@@ -528,21 +505,10 @@ void TenantShard::Finish(std::shared_ptr<QueuedRequest> queued,
         obs::TraceArg::Int("cache_hit", response.cache_hit)};
   }
 
-  metrics_.RecordLatency("queue", response.queue_ms);
-  metrics_.RecordLatency("solve", response.solve_ms);
-  metrics_.RecordLatency("total", response.queue_ms + response.solve_ms);
-  // Separate hit/miss latency distributions: the bench's headline
-  // comparison (hit p99 vs miss p99) reads these directly.
-  if (result_cache_ != nullptr && response.status.ok()) {
-    metrics_.RecordLatency(response.cache_hit ? "cache_hit" : "cache_miss",
-                           response.solve_ms);
-  }
-
   // Recorded before the promise resolves (like the trace spans below):
   // a caller that drains the event log or exports the trace right after
   // Drain() must see every request's event and spans.
-  RecordOutcome(queued->request, response, queued->snapshot->features(),
-                queued->effective_deadline_ms, queued->predicted_ms);
+  RecordOutcome(*queued, disposition, response);
 
   if (tracing) {
     const std::int64_t now_ns = recorder->NowNanos();
@@ -566,22 +532,132 @@ void TenantShard::Finish(std::shared_ptr<QueuedRequest> queued,
   inflight_cv_.NotifyAll();
 }
 
-void TenantShard::RecordOutcome(const serve::SolveRequest& request,
-                                const serve::SolveResponse& response,
-                                const serve::CostFeatures& features,
-                                double deadline_ms, double predicted_ms) {
+void TenantShard::RecordOutcome(const QueuedRequest& queued,
+                                serve::Disposition disposition,
+                                const serve::SolveResponse& response) {
+  using serve::Disposition;
+  const serve::SolveRequest& request = queued.request;
+  const std::string& tenant_id = request.tenant_id;
+
+  // Resolution counters. Only the shed-at-pickup and shutdown ledgers are
+  // kept per tenant among the rejections; every answer is.
+  bool answered = false;  // Reached a worker and was answered there.
+  switch (disposition) {
+    case Disposition::kInvalid:
+      metrics_.Increment(kRejectedInvalid);
+      break;
+    case Disposition::kUnknownTenant:
+      metrics_.Increment(kRejectedInvalid);
+      metrics_.Increment(kUnknownTenant);
+      break;
+    case Disposition::kQueueFull:
+      metrics_.Increment(kRejectedQueueFull);
+      break;
+    case Disposition::kPredictedShed:
+      metrics_.Increment(kShedPredicted);
+      break;
+    case Disposition::kShutdown:
+      metrics_.Increment(kRejectedShutdown);
+      IncrementTenant(tenant_id, kRejectedShutdown);
+      break;
+    case Disposition::kExpiredRejected:
+      metrics_.Increment(kRejectedExpired);
+      IncrementTenant(tenant_id, kRejectedExpired);
+      break;
+    case Disposition::kCacheHit:
+      IncrementTenant(tenant_id, kCacheHits);
+      answered = true;
+      break;
+    case Disposition::kFastPath:
+      metrics_.Increment(kFastPathZero);
+      metrics_.Increment("solver.none.completed");
+      answered = true;
+      break;
+    case Disposition::kSolved: {
+      switch (response.route) {
+        case serve::Route::kAsRequested:
+          break;
+        case serve::Route::kLateFallback:
+          metrics_.Increment(kLateFallback);
+          break;
+        case serve::Route::kLadder:
+          metrics_.Increment(kLadderDowngraded);
+          break;
+        case serve::Route::kBreaker:
+          metrics_.Increment(kBreakerRerouted);
+          break;
+      }
+      const std::string solver_prefix = "solver." + response.solver + ".";
+      if (!response.status.ok()) {
+        metrics_.Increment(kSolveErrors);
+        IncrementTenant(tenant_id, kSolveErrors);
+        metrics_.Increment(solver_prefix + "errors");
+        break;
+      }
+      metrics_.Increment(solver_prefix + "completed");
+      if (response.degraded) {
+        metrics_.Increment(kDegraded);
+        metrics_.Increment(solver_prefix + "degraded");
+      }
+      answered = true;
+      break;
+    }
+  }
+  if (answered) {
+    metrics_.Increment(kCompleted);
+    IncrementTenant(tenant_id, kCompleted);
+  }
+
+  // Latencies, for every request a worker picked up. Separate hit/miss
+  // distributions: the bench's headline comparison (hit p99 vs miss p99)
+  // reads these directly.
+  const bool picked_up = disposition == Disposition::kExpiredRejected ||
+                         disposition == Disposition::kCacheHit ||
+                         disposition == Disposition::kFastPath ||
+                         disposition == Disposition::kSolved;
+  if (picked_up) {
+    metrics_.RecordLatency("queue", response.queue_ms);
+    metrics_.RecordLatency("solve", response.solve_ms);
+    metrics_.RecordLatency("total", response.queue_ms + response.solve_ms);
+    if (result_cache_ != nullptr && response.status.ok()) {
+      metrics_.RecordLatency(response.cache_hit ? "cache_hit" : "cache_miss",
+                             response.solve_ms);
+    }
+  }
+
+  const serve::CostFeatures features = queued.snapshot != nullptr
+                                           ? queued.snapshot->features()
+                                           : serve::CostFeatures{};
+  obs::TraceRecorder* const recorder = options_.trace_recorder;
+  if (recorder != nullptr && recorder->enabled()) {
+    if (disposition == Disposition::kPredictedShed) {
+      recorder->RecordInstant(
+          "shed", "serve",
+          {obs::TraceArg::Str("id", request.id),
+           obs::TraceArg::Str("tenant", tenant_id),
+           obs::TraceArg::Str("reason", response.shed_reason),
+           obs::TraceArg::Num("predicted_ms", queued.predicted_ms),
+           obs::TraceArg::Num("deadline_ms", queued.effective_deadline_ms),
+           obs::TraceArg::Num("retry_after_ms", response.retry_after_ms)});
+    } else if (disposition == Disposition::kCacheHit) {
+      recorder->RecordInstant(
+          "cache_hit", "tenant",
+          {obs::TraceArg::Str("tenant", tenant_id),
+           obs::TraceArg::Int("epoch", response.epoch)});
+    }
+  }
+
   obs::EventLog* const log = options_.event_log;
   if (log != nullptr && log->ShouldRecord()) {
-    obs::WideEvent event = serve::BuildWideEvent(request, response, features,
-                                                 deadline_ms, predicted_ms);
+    obs::WideEvent event = serve::BuildWideEvent(
+        request, response, features, queued.effective_deadline_ms,
+        queued.predicted_ms);
     event.shard = shard_index_;
     log->Record(std::move(event));
   }
   obs::SloEngine* const slo = options_.slo_engine;
   if (slo != nullptr && serve::CountsTowardSlo(response.status)) {
-    const std::string& tenant =
-        response.tenant_id.empty() ? request.tenant_id : response.tenant_id;
-    slo->RecordOutcome(tenant.empty() ? "default" : tenant,
+    slo->RecordOutcome(tenant_id.empty() ? "default" : tenant_id,
                        response.status.ok(),
                        response.queue_ms + response.solve_ms);
   }

@@ -35,13 +35,17 @@
 // (tenant, solver, tuple, m, epoch) replays repeated traffic,
 // single-flighting concurrent misses; a non-empty tenant id also bumps
 // `tenant.<id>.<counter>` for the submitted/accepted/completed/
-// solve_errors/rejected_expired/rejected_shutdown ledger the chaos
-// harness audits per tenant.
+// cache_hits/solve_errors/rejected_expired/rejected_shutdown ledger the
+// chaos harness audits per tenant.
 //
-// Every outcome is counted in a ServeMetrics registry and recorded as
-// one wide event (stamped with the shard index; -1 = unsharded) and SLO
-// outcome. Thread-safety: Submit/Drain/Metrics from any thread; the
-// destructor drains.
+// Every request gets one serve::Disposition, set where the decision is
+// made (and, for a solved request, one serve::Route, chosen by
+// ChooseSolver). RecordOutcome derives everything recorded about the
+// request from it: the ServeMetrics counters and latency histograms, the
+// shed / cache_hit trace instants, the wide event (stamped with the
+// shard index; -1 = unsharded) and the SLO outcome. Only `submitted`
+// and `accepted` are counted earlier, at Submit. Thread-safety:
+// Submit/Drain/Metrics from any thread; the destructor drains.
 
 #ifndef SOC_TENANT_SHARD_H_
 #define SOC_TENANT_SHARD_H_
@@ -51,6 +55,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "common/lock_rank.h"
 #include "common/mutex.h"
@@ -132,19 +137,33 @@ class TenantShard {
   struct QueuedRequest;
 
   void RunOne() SOC_EXCLUDES(queue_mutex_);
-  serve::SolveResponse Execute(QueuedRequest& queued);
+  // Runs a picked-up request to its response and returns how it was
+  // resolved.
+  serve::Disposition Execute(QueuedRequest& queued,
+                             serve::SolveResponse* response);
+  // The one place a request that reaches the solve step learns which
+  // solver runs and why (late fallback, ladder, breaker). Consults the
+  // breaker, which may hand this request its half-open probe slot.
+  std::pair<std::string, serve::Route> ChooseSolver(
+      const std::string& requested, bool expired);
   void Finish(std::shared_ptr<QueuedRequest> queued,
-              serve::SolveResponse response) SOC_EXCLUDES(inflight_mutex_);
+              serve::Disposition disposition, serve::SolveResponse response)
+      SOC_EXCLUDES(inflight_mutex_);
+  // Records and resolves a request that never reached a worker.
+  void Resolve(QueuedRequest& queued, serve::Disposition disposition,
+               serve::SolveResponse response);
   std::size_t QueueSize() const SOC_EXCLUDES(queue_mutex_);
   // Bumps `tenant.<id>.<name>`; a no-op for the empty (untenanted) id.
   void IncrementTenant(const std::string& tenant_id, const char* name);
-  // Records the wide event (stamped with this shard's index and the
-  // snapshot's features) and SLO outcome for one resolved request;
-  // called on every path that resolves a promise.
-  void RecordOutcome(const serve::SolveRequest& request,
-                     const serve::SolveResponse& response,
-                     const serve::CostFeatures& features, double deadline_ms,
-                     double predicted_ms);
+  // The only code that records a request's resolution: derives its
+  // counters, latency samples, trace instants, wide event (stamped with
+  // this shard's index) and SLO outcome from the request's record
+  // (request, snapshot features, effective deadline, prediction), its
+  // disposition and its response. Called once per request, before its
+  // promise resolves.
+  void RecordOutcome(const QueuedRequest& queued,
+                     serve::Disposition disposition,
+                     const serve::SolveResponse& response);
 
   const int shard_index_;
   const TenantShardOptions options_;

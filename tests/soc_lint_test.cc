@@ -195,93 +195,6 @@ TEST(SocLintTest, CadenceRuleSkipsNonSolverLayers) {
   EXPECT_TRUE(findings.empty());
 }
 
-// ---------------------------------------------------------- reject metrics
-
-TEST(SocLintTest, RejectMetricsPassesWhenCounterPrecedesRejection) {
-  std::vector<Finding> findings;
-  CheckRejectMetrics(
-      {"src/serve/foo.cc",
-       "void Submit() {\n"
-       "  metrics_.Increment(kRejectedQueueFull);\n"
-       "  return reject(OverloadedError(\"queue full\"));\n"
-       "}\n"},
-      &findings);
-  EXPECT_TRUE(findings.empty()) << FindingsToJson(findings);
-}
-
-TEST(SocLintTest, RejectMetricsFlagsUncountedRejection) {
-  std::vector<Finding> findings;
-  CheckRejectMetrics(
-      {"src/serve/foo.cc",
-       "void Submit() {\n"
-       "  return reject(OverloadedError(\"silent shed\"));\n"
-       "}\n"},
-      &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "reject-metrics");
-  EXPECT_EQ(findings[0].line, 2);
-  EXPECT_NE(findings[0].message.find("Increment"), std::string::npos);
-}
-
-TEST(SocLintTest, RejectMetricsSkipsCommentsHeadersAndOtherLayers) {
-  std::vector<Finding> findings;
-  // A mention in a comment is not a rejection path.
-  CheckRejectMetrics({"src/serve/a.cc",
-                      "// OverloadedError(\"doc only\")\n"},
-                     &findings);
-  // Headers declare the constructor; only .cc construction sites count.
-  CheckRejectMetrics({"src/serve/b.h", "Status OverloadedError(s);\n"},
-                     &findings);
-  // The status library itself (and layers outside serve) are exempt.
-  CheckRejectMetrics({"src/common/status.cc",
-                      "Status OverloadedError(std::string m) { return {}; }\n"},
-                     &findings);
-  CheckRejectMetrics({"tools/x.cc", "auto s = OverloadedError(\"cli\");\n"},
-                     &findings);
-  EXPECT_TRUE(findings.empty()) << FindingsToJson(findings);
-}
-
-TEST(SocLintTest, RejectMetricsCoversTheTenantPipeline) {
-  std::vector<Finding> findings;
-  CheckRejectMetrics(
-      {"src/tenant/shard.cc",
-       "void Execute() {\n"
-       "  metrics_.Increment(kRejectedExpired);\n"
-       "  IncrementTenant(request.tenant_id, kRejectedExpired);\n"
-       "  response.status = OverloadedError(\"expired\");\n"
-       "}\n"},
-      &findings);
-  EXPECT_TRUE(findings.empty()) << FindingsToJson(findings);
-
-  // A per-tenant helper alone is not a named ServeMetrics bump.
-  CheckRejectMetrics(
-      {"src/tenant/shard.cc",
-       "void Execute() {\n"
-       "  CountTenant(request.tenant_id, kRejectedExpired);\n"
-       "  response.status = OverloadedError(\"expired\");\n"
-       "}\n"},
-      &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "reject-metrics");
-  EXPECT_EQ(findings[0].path, "src/tenant/shard.cc");
-  EXPECT_EQ(findings[0].line, 3);
-}
-
-TEST(SocLintTest, RejectMetricsWindowDoesNotSpanDistantCounters) {
-  // An Increment far above the rejection (outside the window) must not
-  // satisfy the rule.
-  std::string padding;
-  for (int i = 0; i < 60; ++i) padding += "  DoUnrelatedWork(1234567890);\n";
-  std::vector<Finding> findings;
-  CheckRejectMetrics({"src/serve/foo.cc",
-                      "void A() { metrics_.Increment(kAccepted); }\n" +
-                          padding +
-                          "void B() { return reject(OverloadedError(\"x\")); }\n"},
-                     &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "reject-metrics");
-}
-
 // -------------------------------------------------------- registry parity
 
 constexpr char kRegistrySnippet[] =

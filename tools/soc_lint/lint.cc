@@ -445,28 +445,6 @@ void CheckStopCadence(const SourceFile& file,
   }
 }
 
-void CheckRejectMetrics(const SourceFile& file,
-                        std::vector<Finding>* findings) {
-  const bool pipeline_layer = StartsWith(file.path, "src/serve/") ||
-                              StartsWith(file.path, "src/tenant/");
-  if (!pipeline_layer || !IsSource(file.path)) return;
-  const std::string code = StripCommentsAndStrings(file.content);
-  // A rejection and its counter bump live in the same short block; the
-  // window is generous enough for an interleaved trace event but too
-  // small to be satisfied by an unrelated counter in another function.
-  constexpr std::size_t kWindow = 1200;
-  for (std::size_t pos : FindTokens(code, "OverloadedError")) {
-    const std::size_t window_start = pos > kWindow ? pos - kWindow : 0;
-    const std::string before = code.substr(window_start, pos - window_start);
-    if (FindTokens(before, "Increment").empty()) {
-      Add(findings, "reject-metrics", file.path, LineOf(code, pos),
-          "OverloadedError rejection with no ServeMetrics Increment in the "
-          "preceding lines; every shed/reject path must bump a named "
-          "counter so the overload ledger stays balanced");
-    }
-  }
-}
-
 void CheckCacheMetrics(const std::vector<SourceFile>& files,
                        std::vector<Finding>* findings) {
   const SourceFile* header = nullptr;
@@ -528,8 +506,7 @@ void CheckCacheMetrics(const std::vector<SourceFile>& files,
   }
 
   // The structural LRU paths must count nearby: a recency splice is a
-  // hit or (re)insert, a pop_back is an eviction. Same windowed shape as
-  // the reject-metrics rule.
+  // hit or (re)insert, a pop_back is an eviction.
   constexpr std::size_t kWindow = 400;
   const auto check_window = [&](const char* token, const char* what) {
     for (std::size_t hit : FindTokens(code, token)) {
@@ -938,7 +915,6 @@ const std::vector<PassInfo>& Passes() {
       {"naked-thread", {"naked-thread"}},
       {"layering", {"layering"}},
       {"stop-cadence", {"stop-cadence"}},
-      {"reject-metrics", {"reject-metrics"}},
       {"cache-metrics", {"cache-metrics"}},
       {"registry-parity", {"registry-parity"}},
       {"property-parity", {"property-parity"}},
@@ -995,7 +971,6 @@ std::vector<Finding> LintTree(const std::vector<SourceFile>& files) {
     CheckNakedThread(file, &findings);
     CheckLayering(file, &findings);
     CheckStopCadence(file, &findings);
-    CheckRejectMetrics(file, &findings);
   }
   CheckCacheMetrics(files, &findings);
   CheckRegistryTestParity(files, &findings);

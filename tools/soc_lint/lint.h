@@ -30,18 +30,12 @@
 //                      concurrency goes through ThreadPool.
 //   layering         — no src layer below serve/ may #include "serve/..."
 //                      headers.
-//   reject-metrics   — every OverloadedError rejection constructed in
-//                      src/serve/*.cc or src/tenant/*.cc (the request
-//                      pipeline) must increment a named ServeMetrics
-//                      counter nearby, so load-shedding stays visible in
-//                      the overload ledger.
 //   cache-metrics    — every result-cache counter constant declared in
 //                      src/tenant/result_cache.h (kResultCache*) is
 //                      actually bumped in result_cache.cc, and every
 //                      structural hit/insert/evict site (LRU splice /
 //                      pop_back) has a counter bump nearby — so cache
-//                      behavior stays visible in the serving metrics the
-//                      same way load-shedding does.
+//                      behavior stays visible in the serving metrics.
 //   event-field-parity — the shed_reason vocabulary lives twice by
 //                      design (the serve layer's kShedReason* constants
 //                      in src/serve/request.h and the
@@ -109,8 +103,6 @@ void CheckIncludeGuard(const SourceFile& file, std::vector<Finding>* findings);
 void CheckNakedThread(const SourceFile& file, std::vector<Finding>* findings);
 void CheckLayering(const SourceFile& file, std::vector<Finding>* findings);
 void CheckStopCadence(const SourceFile& file, std::vector<Finding>* findings);
-void CheckRejectMetrics(const SourceFile& file,
-                        std::vector<Finding>* findings);
 
 // Cross-file rule: kResultCache* counter constants declared in
 // src/tenant/result_cache.h vs. their bump sites in result_cache.cc,
