@@ -175,6 +175,15 @@ std::future<serve::SolveResponse> TenantShard::Submit(
                                 Join(RegisteredSolverNames(), ", ")));
   }
 
+  // Every outcome from here on, a shed included, records the deadline the
+  // request is judged against and the solve time predicted for it.
+  const double deadline_ms = req.deadline_ms > 0
+                                 ? req.deadline_ms
+                                 : options_.default_deadline_ms;
+  queued->effective_deadline_ms = deadline_ms;
+  queued->predicted_ms =
+      cost_model_.PredictSolveMs(pinned.features(), req.solver, req.m);
+
   // Admission tier: bound the queue, never a worker's time.
   if (options_.max_queue > 0 && QueueSize() >= options_.max_queue) {
     return reject(serve::Disposition::kQueueFull,
@@ -183,22 +192,17 @@ std::future<serve::SolveResponse> TenantShard::Submit(
                   cost_model_.RetryAfterMs());
   }
 
-  double deadline_ms = req.deadline_ms;
-  if (deadline_ms == 0) deadline_ms = options_.default_deadline_ms;
-
   // Cost-aware admission: shed now if the prediction says the deadline
   // cannot be met, instead of letting the request expire in the queue.
   // With reject_expired the whole predicted completion must fit; in
   // degrade mode only the queue wait must (a request reaching a worker
   // before expiry still gets its Fallback answer, so only a wait that
   // alone blows the deadline makes queueing pointless).
-  const double predicted_solve_ms =
-      cost_model_.PredictSolveMs(pinned.features(), req.solver, req.m);
   if (options_.predictive_shedding && deadline_ms > 0) {
     const double predicted_wait_ms = cost_model_.PredictedQueueWaitMs();
-    const double predicted_ms = options_.reject_expired
-                                    ? predicted_wait_ms + predicted_solve_ms
-                                    : predicted_wait_ms;
+    const double predicted_ms =
+        options_.reject_expired ? predicted_wait_ms + queued->predicted_ms
+                                : predicted_wait_ms;
     if (predicted_ms > deadline_ms) {
       return reject(serve::Disposition::kPredictedShed,
                     OverloadedError("predicted completion " +
@@ -212,8 +216,6 @@ std::future<serve::SolveResponse> TenantShard::Submit(
   if (deadline_ms > 0) {
     queued->deadline = Deadline::AfterSeconds(deadline_ms / 1000.0);
   }
-  queued->effective_deadline_ms = deadline_ms;
-  queued->predicted_ms = predicted_solve_ms;
   if (options_.trace_recorder != nullptr &&
       options_.trace_recorder->enabled()) {
     queued->submit_ns = options_.trace_recorder->NowNanos();

@@ -124,18 +124,22 @@ std::string RenderResponse(serve::SolveResponse response) {
   return serve::ResponseToJson(response).ToString() + "\n";
 }
 
-// Drained wide events (sorted by id, timing fields zeroed), then the
-// counter map.
-std::string RenderEventsAndCounters(obs::EventLog& events,
-                                    const serve::MetricsSnapshot& metrics) {
-  std::ostringstream out;
+// Every recorded wide event, sorted by id.
+std::vector<obs::WideEvent> DrainSorted(obs::EventLog& events) {
   std::vector<obs::WideEvent> drained;
   events.Drain(&drained);
   std::stable_sort(drained.begin(), drained.end(),
                    [](const obs::WideEvent& a, const obs::WideEvent& b) {
                      return a.id < b.id;
                    });
-  for (obs::WideEvent& event : drained) {
+  return drained;
+}
+
+// Wide events (timing fields zeroed), then the counter map.
+std::string RenderEventsAndCounters(std::vector<obs::WideEvent> events,
+                                    const serve::MetricsSnapshot& metrics) {
+  std::ostringstream out;
+  for (obs::WideEvent& event : events) {
     event.ts_ms = 0;
     event.queue_ms = 0;
     event.solve_ms = 0;
@@ -164,7 +168,7 @@ std::string Replay(Service& service, obs::EventLog& events,
     out += RenderResponse(service.Submit(request).get());
   }
   service.Drain();
-  return out + RenderEventsAndCounters(events, service.Metrics());
+  return out + RenderEventsAndCounters(DrainSorted(events), service.Metrics());
 }
 
 std::string ReadFile(const std::string& path) {
@@ -271,8 +275,14 @@ struct OverloadScenario {
   std::function<Status(const serve::WorkerHookContext&)> fault;
 };
 
-std::string RunOverloadScenario(const QueryLog& log,
-                                OverloadScenario scenario) {
+struct OverloadRun {
+  std::vector<serve::SolveResponse> responses;  // In send order.
+  std::vector<obs::WideEvent> events;           // Sorted by id.
+  serve::MetricsSnapshot metrics;
+};
+
+OverloadRun RunOverloadScenario(const QueryLog& log,
+                                const OverloadScenario& scenario) {
   obs::EventLog events;
   events.set_enabled(true);
   WorkerGate gate;
@@ -309,13 +319,12 @@ std::string RunOverloadScenario(const QueryLog& log,
   }
   gate.Open();
 
-  std::string out = JsonValue::Object()
-                        .Set("scenario", JsonValue::String(scenario.name))
-                        .ToString() +
-                    "\n";
-  for (auto& future : futures) out += RenderResponse(future.get());
+  OverloadRun run;
+  for (auto& future : futures) run.responses.push_back(future.get());
   service.Drain();
-  return out + RenderEventsAndCounters(events, service.Metrics());
+  run.events = DrainSorted(events);
+  run.metrics = service.Metrics();
+  return run;
 }
 
 serve::SolveRequest OverloadRequest(const std::string& id, unsigned bits,
@@ -425,10 +434,34 @@ std::vector<OverloadScenario> MakeOverloadScenarios() {
 TEST(ServeReplayTest, OverloadMatchesGolden) {
   const QueryLog log = MakeLog();
   std::string actual;
-  for (OverloadScenario& scenario : MakeOverloadScenarios()) {
-    actual += RunOverloadScenario(log, std::move(scenario));
+  for (const OverloadScenario& scenario : MakeOverloadScenarios()) {
+    OverloadRun run = RunOverloadScenario(log, scenario);
+    actual += JsonValue::Object()
+                  .Set("scenario", JsonValue::String(scenario.name))
+                  .ToString() +
+              "\n";
+    for (serve::SolveResponse& response : run.responses) {
+      actual += RenderResponse(std::move(response));
+    }
+    actual += RenderEventsAndCounters(std::move(run.events), run.metrics);
   }
   ExpectMatchesGolden(actual, "serve_replay_overload.jsonl");
+}
+
+// The golden zeroes predicted_ms; this pins that a request shed at Submit
+// records the deadline it was judged against (the service default here)
+// and the solve time the cost model predicted for it.
+TEST(ServeReplayTest, SubmitShedRecordsEffectiveDeadlineAndPrediction) {
+  const QueryLog log = MakeLog();
+  for (const OverloadScenario& scenario : MakeOverloadScenarios()) {
+    if (scenario.name != "default_deadline") continue;
+    const OverloadRun run = RunOverloadScenario(log, scenario);
+    ASSERT_EQ(run.events.size(), 2u);
+    const obs::WideEvent& shed = run.events[1];
+    EXPECT_EQ(shed.shed_reason, serve::kShedReasonPredicted);
+    EXPECT_EQ(shed.deadline_ms, 0.5);
+    EXPECT_GT(shed.predicted_ms, 0);
+  }
 }
 
 }  // namespace
