@@ -24,7 +24,7 @@
 //   m               int     requested attribute budget (-1: the client
 //                           sent a negative budget and was rejected)
 //   deadline_ms     double  optional; effective deadline
-//   num_queries     int     CostModel feature |Q| (collapsed log size)
+//   num_queries     int     CostModel feature: |Q|, the raw log size
 //   num_attributes  int     CostModel feature: attribute count
 //   collapse_ratio  double  CostModel feature: collapsed/raw |Q|
 //   queue_ms        double  submit → worker pickup
@@ -40,10 +40,8 @@
 //   satisfied       int     optional (default -1); objective value
 //   retry_after_ms  double  optional; backoff hint on sheds
 //
-// This header is in the obs layer (below serve), so the shed-reason
-// vocabulary is declared here as a canonical table rather than included
-// from serve/request.h; soc_lint's event-field-parity rule
-// keeps the two lists identical in both directions.
+// The shed-reason vocabulary is declared here, in the obs layer below
+// serve; serve/request.h's kShedReason* constants name its entries.
 
 #ifndef SOC_OBS_WIDE_EVENT_H_
 #define SOC_OBS_WIDE_EVENT_H_
@@ -67,9 +65,8 @@ inline constexpr const char* kWideEventOutcomes[] = {
     "error",    // Solver / internal fault.
 };
 
-// Canonical shed_reason vocabulary. Must match the kShedReason*
-// constants in src/serve/request.h (lint rule
-// event-field-parity checks both directions).
+// Canonical shed_reason vocabulary, in the order serve/request.h's
+// kShedReason* constants index it.
 inline constexpr const char* kWideEventShedReasons[] = {
     "queue_full",
     "predicted_deadline_miss",

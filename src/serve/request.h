@@ -16,6 +16,7 @@
 #include "common/solve_context.h"
 #include "common/status.h"
 #include "core/solver.h"
+#include "obs/wide_event.h"
 
 namespace soc::serve {
 
@@ -32,11 +33,16 @@ struct SolveRequest {
   std::string tenant_id;
 };
 
-// Canonical shed_reason values carried on kOverloaded responses.
-inline constexpr char kShedReasonQueueFull[] = "queue_full";
-inline constexpr char kShedReasonPredicted[] = "predicted_deadline_miss";
-inline constexpr char kShedReasonExpired[] = "deadline_expired";
-inline constexpr char kShedReasonShutdown[] = "shutdown";
+// The shed_reason values carried on kOverloaded responses: the entries
+// of the wide-event schema's vocabulary, so every shed encodes.
+inline constexpr const char* kShedReasonQueueFull =
+    obs::kWideEventShedReasons[0];
+inline constexpr const char* kShedReasonPredicted =
+    obs::kWideEventShedReasons[1];
+inline constexpr const char* kShedReasonExpired =
+    obs::kWideEventShedReasons[2];
+inline constexpr const char* kShedReasonShutdown =
+    obs::kWideEventShedReasons[3];
 
 // How the pipeline resolved one request, decided once, where the
 // decision is made. Every counter, latency sample, SLO outcome, trace

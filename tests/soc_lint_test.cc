@@ -369,91 +369,6 @@ TEST(SocLintTest, SpanNameSkipsTreesWithoutTableButFlagsBrokenTable) {
   EXPECT_EQ(findings[0].rule, "span-name");
 }
 
-// ----------------------------------------------------- event field parity
-
-constexpr char kShedConstantsSnippet[] =
-    "inline constexpr char kShedReasonQueueFull[] = \"queue_full\";\n"
-    "inline constexpr char kShedReasonShutdown[] = \"shutdown\";\n";
-
-constexpr char kEventReasonsSnippet[] =
-    "inline constexpr const char* kWideEventShedReasons[] = {\n"
-    "    \"queue_full\",\n"
-    "    \"shutdown\",\n"
-    "};\n";
-
-TEST(SocLintTest, EventFieldParityPassesWhenVocabulariesMatch) {
-  std::vector<Finding> findings;
-  CheckEventFieldParity(
-      {{"src/serve/request.h", kShedConstantsSnippet},
-       {"src/obs/wide_event.h", kEventReasonsSnippet}},
-      &findings);
-  EXPECT_TRUE(findings.empty()) << FindingsToJson(findings);
-}
-
-TEST(SocLintTest, EventFieldParityFlagsReasonTheSchemaCannotEncode) {
-  std::vector<Finding> findings;
-  CheckEventFieldParity(
-      {{"src/serve/request.h",
-        "inline constexpr char kShedReasonQueueFull[] = \"queue_full\";\n"
-        "inline constexpr char kShedReasonShutdown[] = \"shutdown\";\n"
-        "inline constexpr char kShedReasonBrownout[] = \"brownout\";\n"},
-       {"src/obs/wide_event.h", kEventReasonsSnippet}},
-      &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "event-field-parity");
-  EXPECT_NE(findings[0].message.find("\"brownout\""), std::string::npos);
-  EXPECT_NE(findings[0].message.find("fail its own schema"),
-            std::string::npos);
-}
-
-TEST(SocLintTest, EventFieldParityFlagsStaleSchemaEntry) {
-  std::vector<Finding> findings;
-  CheckEventFieldParity(
-      {{"src/serve/request.h", kShedConstantsSnippet},
-       {"src/obs/wide_event.h",
-        "inline constexpr const char* kWideEventShedReasons[] = {\n"
-        "    \"queue_full\",\n"
-        "    \"shutdown\",\n"
-        "    \"retired_reason\",\n"
-        "};\n"}},
-      &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "event-field-parity");
-  EXPECT_NE(findings[0].message.find("\"retired_reason\""),
-            std::string::npos);
-}
-
-TEST(SocLintTest, EventFieldParityIgnoresCommentMentions) {
-  std::vector<Finding> findings;
-  CheckEventFieldParity(
-      {{"src/serve/request.h",
-        "// kShedReason* constants; one of \"queue_full\" or so.\n"
-        "inline constexpr char kShedReasonQueueFull[] = \"queue_full\";\n"
-        "inline constexpr char kShedReasonShutdown[] = \"shutdown\";\n"},
-       {"src/obs/wide_event.h", kEventReasonsSnippet}},
-      &findings);
-  EXPECT_TRUE(findings.empty()) << FindingsToJson(findings);
-}
-
-TEST(SocLintTest, EventFieldParitySkipsTreesWithoutSchemaButFlagsBrokenOnes) {
-  std::vector<Finding> findings;
-  // No wide_event.h at all: nothing to check against.
-  CheckEventFieldParity(
-      {{"src/serve/request.h", kShedConstantsSnippet}},
-      &findings);
-  EXPECT_TRUE(findings.empty());
-
-  // Schema without the table is itself a finding.
-  CheckEventFieldParity(
-      {{"src/serve/request.h", kShedConstantsSnippet},
-       {"src/obs/wide_event.h", "int x;\n"}},
-      &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "event-field-parity");
-  EXPECT_NE(findings[0].message.find("kWideEventShedReasons"),
-            std::string::npos);
-}
-
 // ------------------------------------------------------- kernel dispatch
 
 constexpr char kFencedAvxTu[] =

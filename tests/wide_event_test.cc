@@ -1,8 +1,7 @@
 // Wide-event schema tests: encode/parse round trips are a fixed point,
 // optional fields are omitted at their defaults, the strict parser
-// rejects malformed lines, and the shed-reason vocabulary matches the
-// serve-layer constants it mirrors (the compile-time half of soc_lint's
-// event-field-parity rule).
+// rejects malformed lines, and the serve layer's shed reasons, which
+// name entries of the schema's vocabulary, cover all of it.
 
 #include "obs/wide_event.h"
 
@@ -185,8 +184,8 @@ TEST(WideEventTest, NonCanonicalSpellingConvergesInOneEncode) {
 }
 
 TEST(WideEventTest, ShedReasonVocabularyMatchesServeConstants) {
-  // The two lists live apart by design (obs cannot include serve);
-  // soc_lint checks the sources, this checks the compiled values.
+  // The serve constants name the table's entries; each must name a
+  // different one, so every reason the schema knows is produced.
   std::set<std::string> schema;
   for (const char* reason : kWideEventShedReasons) schema.insert(reason);
   const std::set<std::string> serve = {

@@ -743,94 +743,6 @@ void CheckSpanNameParity(const std::vector<SourceFile>& files,
   }
 }
 
-void CheckEventFieldParity(const std::vector<SourceFile>& files,
-                           std::vector<Finding>* findings) {
-  const SourceFile* serve_header = nullptr;
-  const SourceFile* event_header = nullptr;
-  for (const SourceFile& file : files) {
-    if (EndsWith(file.path, "serve/request.h")) serve_header = &file;
-    if (EndsWith(file.path, "obs/wide_event.h")) event_header = &file;
-  }
-  if (event_header == nullptr) return;  // Nothing to check against.
-  if (serve_header == nullptr) {
-    Add(findings, "event-field-parity", event_header->path, 0,
-        "obs/wide_event.h present but src/serve/request.h is missing");
-    return;
-  }
-
-  // Serve-side vocabulary: the value assigned to every kShedReason*
-  // constant. Identifiers are located in the fully stripped copy (no
-  // comments, so prose mentions of kShedReason* do not count) and the
-  // literal is read from the comments-only copy; both strippers
-  // preserve offsets.
-  const std::string blanked = StripCommentsAndStrings(serve_header->content);
-  const std::string text = StripComments(serve_header->content);
-  std::set<std::string> serve_reasons;
-  std::size_t pos = 0;
-  while ((pos = blanked.find("kShedReason", pos)) != std::string::npos) {
-    const std::size_t stmt_end = blanked.find(';', pos);
-    const std::size_t assign = blanked.find('=', pos);
-    if (assign != std::string::npos && stmt_end != std::string::npos &&
-        assign < stmt_end) {
-      const std::size_t quote = text.find('"', assign + 1);
-      const std::size_t quote_end =
-          quote == std::string::npos ? std::string::npos
-                                     : text.find('"', quote + 1);
-      if (quote != std::string::npos && quote_end != std::string::npos &&
-          quote < stmt_end) {
-        serve_reasons.insert(text.substr(quote + 1, quote_end - quote - 1));
-      }
-    }
-    pos += 1;
-  }
-  if (serve_reasons.empty()) {
-    Add(findings, "event-field-parity", serve_header->path, 0,
-        "no kShedReason* constants found in request.h");
-    return;
-  }
-
-  // Schema-side vocabulary: the kWideEventShedReasons[] table entries.
-  const std::size_t table =
-      event_header->content.find("kWideEventShedReasons[]");
-  const std::size_t table_end =
-      table == std::string::npos ? std::string::npos
-                                 : event_header->content.find("};", table);
-  if (table == std::string::npos || table_end == std::string::npos) {
-    Add(findings, "event-field-parity", event_header->path, 0,
-        "could not locate the kWideEventShedReasons[] table");
-    return;
-  }
-  std::set<std::string> event_reasons;
-  pos = table;
-  while ((pos = event_header->content.find('"', pos)) != std::string::npos &&
-         pos < table_end) {
-    const std::size_t name_start = pos + 1;
-    const std::size_t name_end =
-        event_header->content.find('"', name_start);
-    if (name_end == std::string::npos || name_end >= table_end) break;
-    event_reasons.insert(
-        event_header->content.substr(name_start, name_end - name_start));
-    pos = name_end + 1;
-  }
-
-  for (const std::string& reason : serve_reasons) {
-    if (event_reasons.count(reason) == 0) {
-      Add(findings, "event-field-parity", event_header->path, 0,
-          "serve shed reason \"" + reason +
-              "\" is missing from kWideEventShedReasons[], so a wide "
-              "event carrying it would fail its own schema");
-    }
-  }
-  for (const std::string& reason : event_reasons) {
-    if (serve_reasons.count(reason) == 0) {
-      Add(findings, "event-field-parity", event_header->path, 0,
-          "kWideEventShedReasons[] lists \"" + reason +
-              "\" which no kShedReason* constant in "
-              "request.h produces");
-    }
-  }
-}
-
 namespace {
 
 // A '#'-directive line mentioning an AVX ISA macro anywhere in
@@ -919,7 +831,6 @@ const std::vector<PassInfo>& Passes() {
       {"registry-parity", {"registry-parity"}},
       {"property-parity", {"property-parity"}},
       {"span-name", {"span-name"}},
-      {"event-field-parity", {"event-field-parity"}},
       {"kernel-dispatch", {"kernel-dispatch"}},
       {"lock-hierarchy",
        {"lock-order", "lock-rank-order", "lock-rank-missing",
@@ -976,7 +887,6 @@ std::vector<Finding> LintTree(const std::vector<SourceFile>& files) {
   CheckRegistryTestParity(files, &findings);
   CheckPropertyParity(files, &findings);
   CheckSpanNameParity(files, &findings);
-  CheckEventFieldParity(files, &findings);
   CheckKernelDispatch(files, &findings);
   CheckLockHierarchy(files, &findings);
 

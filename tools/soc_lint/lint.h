@@ -36,14 +36,6 @@
 //                      structural hit/insert/evict site (LRU splice /
 //                      pop_back) has a counter bump nearby — so cache
 //                      behavior stays visible in the serving metrics.
-//   event-field-parity — the shed_reason vocabulary lives twice by
-//                      design (the serve layer's kShedReason* constants
-//                      in src/serve/request.h and the
-//                      wide-event schema's kWideEventShedReasons[] table
-//                      in src/obs/wide_event.h, which cannot include
-//                      serve headers); the two lists must carry exactly
-//                      the same string values in both directions, or
-//                      recorded events would fail their own schema.
 //   kernel-dispatch  — x86 vector intrinsics (immintrin.h, _mm*/__m*)
 //                      appear only under src/kernels; every
 //                      intrinsic-bearing kernel TU fences them behind an
@@ -124,13 +116,6 @@ void CheckPropertyParity(const std::vector<SourceFile>& files,
 // canonical table in src/obs/span_names.h.
 void CheckSpanNameParity(const std::vector<SourceFile>& files,
                          std::vector<Finding>* findings);
-
-// Cross-file rule: the serve layer's kShedReason* constant values vs.
-// the wide-event schema's kWideEventShedReasons[] vocabulary (both
-// directions: a reason the schema cannot encode and a schema entry no
-// serve path produces are each findings).
-void CheckEventFieldParity(const std::vector<SourceFile>& files,
-                           std::vector<Finding>* findings);
 
 // Cross-file rule: vector intrinsics stay inside src/kernels, every
 // intrinsic-bearing kernel TU is fenced by an ISA preprocessor guard
