@@ -47,7 +47,7 @@ inline constexpr const char* kShedReasonShutdown =
 // How the pipeline resolved one request, decided once, where the
 // decision is made. Every counter, latency sample, SLO outcome, trace
 // instant and wide event of the request is derived from it
-// (TenantShard::RecordOutcome).
+// (TenantShard::RecordOutcome). Ordered: Submit-time dispositions first.
 enum class Disposition {
   kInvalid,          // Malformed request: tenant, width, m, deadline, solver.
   kUnknownTenant,    // Non-empty tenant id that resolved to no snapshot.
@@ -59,6 +59,11 @@ enum class Disposition {
   kFastPath,         // Provably zero-visible: answered without a solver.
   kSolved,           // A solver ran (see SolveResponse::route).
 };
+
+// True for the dispositions decided after a worker picked the request up.
+constexpr bool PickedUp(Disposition disposition) {
+  return disposition >= Disposition::kExpiredRejected;
+}
 
 // The shed_reason a disposition carries on its kOverloaded response;
 // nullptr for dispositions that are not sheds.

@@ -33,23 +33,6 @@ constexpr char kLadderDowngraded[] = "ladder_downgraded";
 constexpr char kUnknownTenant[] = "rejected_unknown_tenant";
 constexpr char kCacheHits[] = "cache_hits";
 
-// The response of a request resolved without reaching a solver.
-serve::SolveResponse RejectResponse(const serve::SolveRequest& request,
-                                    Status status,
-                                    serve::Disposition disposition,
-                                    double retry_after_ms) {
-  serve::SolveResponse response;
-  response.id = request.id;
-  response.solver = request.solver;
-  response.tenant_id = request.tenant_id;
-  response.status = std::move(status);
-  if (const char* reason = serve::ShedReason(disposition)) {
-    response.shed_reason = reason;
-  }
-  response.retry_after_ms = retry_after_ms;
-  return response;
-}
-
 }  // namespace
 
 struct TenantShard::QueuedRequest {
@@ -131,8 +114,7 @@ std::future<serve::SolveResponse> TenantShard::Submit(
 
   const auto reject = [&](serve::Disposition disposition, Status status,
                           double retry_after_ms = 0) {
-    Resolve(*queued, disposition, RejectResponse(req, std::move(status),
-                                                 disposition, retry_after_ms));
+    Reject(*queued, disposition, std::move(status), retry_after_ms);
     return std::move(future);
   };
 
@@ -245,10 +227,8 @@ std::future<serve::SolveResponse> TenantShard::Submit(
     }
     if (victim != nullptr) {
       cost_model_.Settle(victim->predicted_ms);
-      Resolve(*victim, serve::Disposition::kShutdown,
-              RejectResponse(victim->request,
-                             OverloadedError("service shutting down"),
-                             serve::Disposition::kShutdown, 0));
+      Reject(*victim, serve::Disposition::kShutdown,
+             OverloadedError("service shutting down"), 0);
       {
         MutexLock lock(inflight_mutex_);
         --inflight_;
@@ -259,9 +239,18 @@ std::future<serve::SolveResponse> TenantShard::Submit(
   return future;
 }
 
-void TenantShard::Resolve(QueuedRequest& queued,
-                          serve::Disposition disposition,
-                          serve::SolveResponse response) {
+void TenantShard::Reject(QueuedRequest& queued,
+                         serve::Disposition disposition, Status status,
+                         double retry_after_ms) {
+  serve::SolveResponse response;
+  response.id = queued.request.id;
+  response.solver = queued.request.solver;
+  response.tenant_id = queued.request.tenant_id;
+  response.status = std::move(status);
+  if (const char* reason = serve::ShedReason(disposition)) {
+    response.shed_reason = reason;
+  }
+  response.retry_after_ms = retry_after_ms;
   RecordOutcome(queued, disposition, response);
   queued.promise.set_value(std::move(response));
 }
@@ -338,6 +327,8 @@ serve::Disposition TenantShard::Execute(QueuedRequest& queued,
 
   const auto settle = [&] { cost_model_.Settle(queued.predicted_ms); };
 
+  // Late at pickup: shed under reject_expired; otherwise ChooseSolver
+  // degrades it through Fallback below.
   const bool expired = queued.deadline.Expired();
   if (expired && options_.reject_expired) {
     response.status =
@@ -576,18 +567,12 @@ void TenantShard::RecordOutcome(const QueuedRequest& queued,
       answered = true;
       break;
     case Disposition::kSolved: {
-      switch (response.route) {
-        case serve::Route::kAsRequested:
-          break;
-        case serve::Route::kLateFallback:
-          metrics_.Increment(kLateFallback);
-          break;
-        case serve::Route::kLadder:
-          metrics_.Increment(kLadderDowngraded);
-          break;
-        case serve::Route::kBreaker:
-          metrics_.Increment(kBreakerRerouted);
-          break;
+      if (response.route == serve::Route::kLateFallback) {
+        metrics_.Increment(kLateFallback);
+      } else if (response.route == serve::Route::kLadder) {
+        metrics_.Increment(kLadderDowngraded);
+      } else if (response.route == serve::Route::kBreaker) {
+        metrics_.Increment(kBreakerRerouted);
       }
       const std::string solver_prefix = "solver." + response.solver + ".";
       if (!response.status.ok()) {
@@ -613,11 +598,7 @@ void TenantShard::RecordOutcome(const QueuedRequest& queued,
   // Latencies, for every request a worker picked up. Separate hit/miss
   // distributions: the bench's headline comparison (hit p99 vs miss p99)
   // reads these directly.
-  const bool picked_up = disposition == Disposition::kExpiredRejected ||
-                         disposition == Disposition::kCacheHit ||
-                         disposition == Disposition::kFastPath ||
-                         disposition == Disposition::kSolved;
-  if (picked_up) {
+  if (serve::PickedUp(disposition)) {
     metrics_.RecordLatency("queue", response.queue_ms);
     metrics_.RecordLatency("solve", response.solve_ms);
     metrics_.RecordLatency("total", response.queue_ms + response.solve_ms);
@@ -627,9 +608,6 @@ void TenantShard::RecordOutcome(const QueuedRequest& queued,
     }
   }
 
-  const serve::CostFeatures features = queued.snapshot != nullptr
-                                           ? queued.snapshot->features()
-                                           : serve::CostFeatures{};
   obs::TraceRecorder* const recorder = options_.trace_recorder;
   if (recorder != nullptr && recorder->enabled()) {
     if (disposition == Disposition::kPredictedShed) {
@@ -651,9 +629,12 @@ void TenantShard::RecordOutcome(const QueuedRequest& queued,
 
   obs::EventLog* const log = options_.event_log;
   if (log != nullptr && log->ShouldRecord()) {
+    // A request whose tenant never resolved has no features.
     obs::WideEvent event = serve::BuildWideEvent(
-        request, response, features, queued.effective_deadline_ms,
-        queued.predicted_ms);
+        request, response,
+        queued.snapshot != nullptr ? queued.snapshot->features()
+                                   : serve::CostFeatures{},
+        queued.effective_deadline_ms, queued.predicted_ms);
     event.shard = shard_index_;
     log->Record(std::move(event));
   }

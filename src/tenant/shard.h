@@ -149,9 +149,9 @@ class TenantShard {
   void Finish(std::shared_ptr<QueuedRequest> queued,
               serve::Disposition disposition, serve::SolveResponse response)
       SOC_EXCLUDES(inflight_mutex_);
-  // Records and resolves a request that never reached a worker.
-  void Resolve(QueuedRequest& queued, serve::Disposition disposition,
-               serve::SolveResponse response);
+  // Records and resolves a request that never reached a solver.
+  void Reject(QueuedRequest& queued, serve::Disposition disposition,
+              Status status, double retry_after_ms);
   std::size_t QueueSize() const SOC_EXCLUDES(queue_mutex_);
   // Bumps `tenant.<id>.<name>`; a no-op for the empty (untenanted) id.
   void IncrementTenant(const std::string& tenant_id, const char* name);
