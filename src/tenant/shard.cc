@@ -574,17 +574,16 @@ void TenantShard::RecordOutcome(const QueuedRequest& queued,
       } else if (response.route == serve::Route::kBreaker) {
         metrics_.Increment(kBreakerRerouted);
       }
-      const std::string solver_prefix = "solver." + response.solver + ".";
       if (!response.status.ok()) {
         metrics_.Increment(kSolveErrors);
         IncrementTenant(tenant_id, kSolveErrors);
-        metrics_.Increment(solver_prefix + "errors");
+        metrics_.Increment("solver." + response.solver + ".errors");
         break;
       }
-      metrics_.Increment(solver_prefix + "completed");
+      metrics_.Increment("solver." + response.solver + ".completed");
       if (response.degraded) {
         metrics_.Increment(kDegraded);
-        metrics_.Increment(solver_prefix + "degraded");
+        metrics_.Increment("solver." + response.solver + ".degraded");
       }
       answered = true;
       break;

@@ -149,7 +149,7 @@ class TenantShard {
   void Finish(std::shared_ptr<QueuedRequest> queued,
               serve::Disposition disposition, serve::SolveResponse response)
       SOC_EXCLUDES(inflight_mutex_);
-  // Records and resolves a request that never reached a solver.
+  // Records and resolves a request that never reached a worker.
   void Reject(QueuedRequest& queued, serve::Disposition disposition,
               Status status, double retry_after_ms);
   std::size_t QueueSize() const SOC_EXCLUDES(queue_mutex_);
