@@ -43,6 +43,9 @@ struct TenantShard::QueuedRequest {
   Deadline deadline = Deadline::Infinite();
   double effective_deadline_ms = 0;  // After the default applied; 0 = none.
   double predicted_ms = 0;           // Cost-model charge, settled at finish.
+  // The completion predictive shedding compared against the deadline;
+  // the shed trace instant reports it.
+  double predicted_completion_ms = 0;
   // Recorder time at Submit, when tracing was live then; 0 otherwise.
   // Anchors the queue_wait and request spans emitted at pickup/finish.
   std::int64_t submit_ns = 0;
@@ -186,6 +189,7 @@ std::future<serve::SolveResponse> TenantShard::Submit(
         options_.reject_expired ? predicted_wait_ms + queued->predicted_ms
                                 : predicted_wait_ms;
     if (predicted_ms > deadline_ms) {
+      queued->predicted_completion_ms = predicted_ms;
       return reject(serve::Disposition::kPredictedShed,
                     OverloadedError("predicted completion " +
                                     std::to_string(predicted_ms) +
@@ -615,7 +619,7 @@ void TenantShard::RecordOutcome(const QueuedRequest& queued,
           {obs::TraceArg::Str("id", request.id),
            obs::TraceArg::Str("tenant", tenant_id),
            obs::TraceArg::Str("reason", response.shed_reason),
-           obs::TraceArg::Num("predicted_ms", queued.predicted_ms),
+           obs::TraceArg::Num("predicted_ms", queued.predicted_completion_ms),
            obs::TraceArg::Num("deadline_ms", queued.effective_deadline_ms),
            obs::TraceArg::Num("retry_after_ms", response.retry_after_ms)});
     } else if (disposition == Disposition::kCacheHit) {

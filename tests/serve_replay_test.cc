@@ -36,6 +36,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <future>
@@ -50,6 +51,7 @@
 #include "core/solver_registry.h"
 #include "datagen/workload.h"
 #include "obs/event_log.h"
+#include "obs/trace_recorder.h"
 #include "obs/wide_event.h"
 #include "serve/protocol.h"
 #include "serve/visibility_service.h"
@@ -450,17 +452,37 @@ TEST(ServeReplayTest, OverloadMatchesGolden) {
 
 // The golden zeroes predicted_ms; this pins that a request shed at Submit
 // records the deadline it was judged against (the service default here)
-// and the solve time the cost model predicted for it.
+// and the solve time the cost model predicted for it, and that its shed
+// trace instant reports the predicted completion the shed was made on.
 TEST(ServeReplayTest, SubmitShedRecordsEffectiveDeadlineAndPrediction) {
   const QueryLog log = MakeLog();
-  for (const OverloadScenario& scenario : MakeOverloadScenarios()) {
+  for (OverloadScenario scenario : MakeOverloadScenarios()) {
     if (scenario.name != "default_deadline") continue;
+    obs::TraceRecorder recorder;
+    recorder.set_enabled(true);
+    scenario.options.trace_recorder = &recorder;
     const OverloadRun run = RunOverloadScenario(log, scenario);
     ASSERT_EQ(run.events.size(), 2u);
     const obs::WideEvent& shed = run.events[1];
     EXPECT_EQ(shed.shed_reason, serve::kShedReasonPredicted);
     EXPECT_EQ(shed.deadline_ms, 0.5);
     EXPECT_GT(shed.predicted_ms, 0);
+
+    double completion_ms = 0;
+    ASSERT_EQ(std::sscanf(run.responses[1].status.message().c_str(),
+                          "predicted completion %lfms", &completion_ms),
+              1);
+    EXPECT_GT(completion_ms, 0.5);
+    const std::string trace = recorder.ToChromeTraceJson();
+    const std::size_t instant = trace.find("\"name\":\"shed\"");
+    ASSERT_NE(instant, std::string::npos);
+    const std::string line =
+        trace.substr(instant, trace.find('\n', instant) - instant);
+    const std::size_t key = line.find("\"predicted_ms\":");
+    ASSERT_NE(key, std::string::npos);
+    EXPECT_NEAR(std::strtod(line.c_str() + key + 15, nullptr), completion_ms,
+                1e-6);
+    EXPECT_NE(line.find("\"deadline_ms\":0.5"), std::string::npos) << line;
   }
 }
 
